@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit nonzero unless every value matches 2^h(n-h)")
     p.add_argument("--out", default=None, help="machine report file")
     p.add_argument("--override-gate", action="store_true",
-                   help="allow exhaustive scans beyond the default order gate")
+                   help="allow exhaustive scans beyond the default order "
+                        "gate; branch-and-bound is not gated")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a subset bound or the equality")

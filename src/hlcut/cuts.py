@@ -151,14 +151,33 @@ def _exhaustive(g: Graph, h: int, threads: int, deadline):
 
 # -- branch and bound ---------------------------------------------------------
 
+def _others_keep_degree(adj, others, side, h):
+    """True iff every vertex in `others` still has >= h neighbours outside
+    `side`. Called with the opposite-side neighbours of a vertex just added
+    to `side`: they are the only vertices whose reachable degree dropped."""
+    while others:
+        b = others & -others
+        if (adj[b.bit_length() - 1] & ~side).bit_count() < h:
+            return False
+        others ^= b
+    return True
+
+
 def _bnb_value(adj, deg, order, h, deadline):
-    """Exact minimum value (or None). Vertex order: descending degree, ties
-    by index, anchor 0 pre-assigned to the complement. Bound: edges already
-    cut by the partial assignment; branches that cannot keep the assigned
-    vertex at degree h on its side are infeasible and dropped."""
+    """Exact minimum value and the side that attains it (or None, None).
+
+    Vertex order: descending degree, ties by index, anchor 0 pre-assigned
+    to the complement. Bound: edges already cut by the partial assignment.
+    Degree propagation: every assigned vertex must keep at least h
+    neighbours that are unassigned or on its own side, so a branch is
+    dropped when the vertex it assigns falls short, or when one of that
+    vertex's neighbours on the other side does. Only assignments in which
+    some vertex must end below degree h are pruned, so the value is exact.
+    The incumbent's side is kept so a budget expiry hands back a witness."""
     vorder = sorted(range(1, order), key=lambda v: (-deg[v], v))
     depth = len(vorder)
     best = None
+    best_side = None
     examined = 0
     monotonic = time.monotonic
     # stack entries: (i, x, y, cut); X branch is explored first
@@ -168,33 +187,37 @@ def _bnb_value(adj, deg, order, h, deadline):
         examined += 1
         if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
                 and monotonic() > deadline:
-            raise IncompleteSearchError(h, best, None, examined, 0.0)
+            raise IncompleteSearchError(h, best, best_side, examined, 0.0)
         if best is not None and cut >= best:
             continue
         if i == depth:
             if x and min_degree_at_least(adj, x, h) and min_degree_at_least(adj, y, h):
                 best = cut  # cut < best already ensured
+                best_side = x
             continue
         v = vorder[i]
         bit = 1 << v
         a = adj[v]
         # Y branch (pushed first, explored second)
         cut_y = cut + (a & x).bit_count()
-        if (best is None or cut_y < best) and (a & ~x).bit_count() >= h:
+        if (best is None or cut_y < best) and (a & ~x).bit_count() >= h \
+                and _others_keep_degree(adj, a & x, y | bit, h):
             stack.append((i + 1, x, y | bit, cut_y))
         # X branch
         cut_x = cut + (a & y).bit_count()
-        if (best is None or cut_x < best) and (a & ~y).bit_count() >= h:
+        if (best is None or cut_x < best) and (a & ~y).bit_count() >= h \
+                and _others_keep_degree(adj, a & y, x | bit, h):
             stack.append((i + 1, x | bit, y, cut_x))
-    return best, examined
+    return best, best_side, examined
 
 
-def _lexmin_witness(adj, order, h, target, deadline):
+def _lexmin_witness(adj, order, h, target, incumbent, deadline):
     """Smallest witness-side bitmask among cuts of exactly the minimum value
     `target`, with the anchor vertex 0 outside the witness side. Vertices are
     decided from the most significant bit down, side "out" first, so the
-    first complete feasible assignment is the lexicographic minimum."""
-    full = (1 << order) - 1
+    first complete feasible assignment is the lexicographic minimum. Prunes
+    with the same degree propagation as `_bnb_value`; a budget expiry hands
+    back `incumbent`, a side already known to attain `target`."""
     examined = 0
     monotonic = time.monotonic
     # stack entries: (v, x, y, cut) with vertices v..1 still undecided
@@ -204,7 +227,7 @@ def _lexmin_witness(adj, order, h, target, deadline):
         examined += 1
         if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
                 and monotonic() > deadline:
-            raise IncompleteSearchError(h, target, None, examined, 0.0)
+            raise IncompleteSearchError(h, target, incumbent, examined, 0.0)
         if v == 0:
             if x and min_degree_at_least(adj, x, h) and min_degree_at_least(adj, y, h):
                 return x, examined
@@ -213,10 +236,12 @@ def _lexmin_witness(adj, order, h, target, deadline):
         a = adj[v]
         # X branch pushed first, Y branch (v outside the witness) on top
         cut_x = cut + (a & y).bit_count()
-        if cut_x <= target and (a & ~y).bit_count() >= h:
+        if cut_x <= target and (a & ~y).bit_count() >= h \
+                and _others_keep_degree(adj, a & y, x | bit, h):
             stack.append((v - 1, x | bit, y, cut_x))
         cut_y = cut + (a & x).bit_count()
-        if cut_y <= target and (a & ~x).bit_count() >= h:
+        if cut_y <= target and (a & ~x).bit_count() >= h \
+                and _others_keep_degree(adj, a & x, y | bit, h):
             stack.append((v - 1, x, y | bit, cut_y))
     return None, examined
 
@@ -231,15 +256,18 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
     contiguous ranges across threads; results are identical for any thread
     count). Branch-and-bound computes the exact value first and then
     reconstructs the lexicographically smallest witness, so both methods
-    return identical reports. A budget (seconds) turns an overlong search
-    into IncompleteSearchError carrying the best incumbent."""
+    return identical reports. Only exhaustive scans are gated by order
+    (`override_gate` lifts the gate); branch-and-bound is bounded by the
+    budget instead. A budget (seconds) turns an overlong search into
+    IncompleteSearchError carrying the best incumbent."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
     if threads < 1:
         raise UsageError(f"thread count {threads} must be positive")
-    check_gate(g.order, override_gate)
+    if method == EXHAUSTIVE:
+        check_gate(g.order, override_gate)
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
     start = time.perf_counter()
@@ -257,11 +285,11 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
         if method == EXHAUSTIVE:
             best, best_mask, examined = _exhaustive(g, h, threads, deadline)
         else:
-            best, examined = _bnb_value(g.adj, deg, g.order, h, deadline)
-            best_mask = None
+            best, best_mask, examined = _bnb_value(
+                g.adj, deg, g.order, h, deadline)
             if best is not None:
                 best_mask, extra = _lexmin_witness(
-                    g.adj, g.order, h, best, deadline)
+                    g.adj, g.order, h, best, best_mask, deadline)
                 examined += extra
                 if best_mask is None:
                     raise AssertionError(

@@ -138,9 +138,9 @@ def test_solve_usage_errors(tmp_path):
 
 
 def test_solve_budget_exhaustion_exit_code(tmp_path):
-    path = tmp_path / "q5.graph"
-    write_graph(path, hypercube(5).graph)
-    assert run("solve", "--graph", path, "--h", 2, "--budget", 0.02,
+    path = tmp_path / "hl6.graph"
+    write_graph(path, random_hl(6, 1).graph)  # h=3 outlasts 30 s
+    assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02,
                "--method", "branch-and-bound") == 3
 
 

@@ -12,7 +12,7 @@ from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport,
                    lambda_sh_exact, mask_of, random_hl)
 from hlcut.graph import Graph
 
-from conftest import hl_members
+from conftest import hl_members, small_graphs
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -164,6 +164,33 @@ def test_methods_and_threads_agree(q3, fig1):
                         (baseline.value, baseline.witness_side, baseline.witness_cut)
 
 
+def _irregular_connected(g: Graph) -> bool:
+    return g.is_connected() and len({a.bit_count() for a in g.adj}) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs().filter(_irregular_connected))
+def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
+    # degrees differ here, which the regular family never exercises
+    for h in range(min(a.bit_count() for a in g.adj) + 2):
+        oracle = lambda_sh_exact(g, h, method=EXHAUSTIVE)
+        report = lambda_sh_exact(g, h, method=BRANCH_AND_BOUND)
+        if isinstance(oracle, Nonexistent):
+            assert isinstance(report, Nonexistent)
+        else:
+            assert (report.value, report.witness_side) == \
+                (oracle.value, oracle.witness_side)
+
+
+def test_branch_and_bound_node_count_on_q5():
+    # degree propagation keeps every level of Q5 small; without it the
+    # sweep needs about 23M nodes
+    q5 = hypercube(5)
+    total = sum(lambda_sh_exact(q5.graph, h, method=BRANCH_AND_BOUND)
+                .subsets_examined for h in range(5))
+    assert total < 100_000
+
+
 @settings(max_examples=15, deadline=None)
 @given(hl_members(max_n=4))
 def test_solver_witness_is_always_a_valid_cut(hl):
@@ -190,6 +217,12 @@ def test_gate_refuses_large_orders_without_override():
         lambda_sh_exact(ring, 0)
 
 
+def test_gate_does_not_apply_to_branch_and_bound():
+    q6 = hypercube(6)
+    report = lambda_sh_exact(q6.graph, 5, method=BRANCH_AND_BOUND)
+    assert report.value == 32
+
+
 def test_gate_override_accepted_on_small_graph(q3):
     report = lambda_sh_exact(q3.graph, 1, override_gate=True)
     assert report.value == 4
@@ -201,11 +234,22 @@ def test_unknown_method_rejected(q3):
 
 
 def test_budget_exhaustion_raises_incomplete():
-    q5 = hypercube(5)
+    hl6 = random_hl(6, 1)  # h=3 outlasts 30 s
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(q5.graph, 2, method=BRANCH_AND_BOUND, budget=0.02)
+        lambda_sh_exact(hl6.graph, 3, method=BRANCH_AND_BOUND, budget=0.02)
     assert err.value.budget == 0.02
     assert err.value.subsets_examined > 0
+
+
+def test_budget_exhaustion_branch_and_bound_carries_witness():
+    g = random_hl(6, 1).graph
+    with pytest.raises(IncompleteSearchError) as err:
+        lambda_sh_exact(g, 3, method=BRANCH_AND_BOUND, budget=0.05)
+    # the first incumbent arrives before the first deadline check
+    best_value, best_side = err.value.best_value, err.value.best_side
+    assert best_value is not None
+    assert len(g.edge_boundary(best_side)) == best_value
+    assert is_h_edge_cut(g, g.edge_boundary(best_side), 3)
 
 
 def test_budget_exhaustion_exhaustive_carries_incumbent():
