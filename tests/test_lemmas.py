@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from hlcut import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, UsageError,
                    block_vertices, check_bound_lemmas, check_lemma_32,
@@ -14,6 +15,8 @@ from hlcut import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, UsageError,
 from hlcut.build import left_descendant
 from hlcut.graph import Graph
 from hlcut.lemmas import _scan_bounds
+
+from conftest import small_graphs
 
 
 # -- subset enumeration -------------------------------------------------------
@@ -158,6 +161,44 @@ def test_star_violates_boundary_bound():
     assert not v35.holds
     x = v35.counterexample
     assert x.bit_count() + len(star.edge_boundary(x)) < (1 << 0) * 3
+
+
+def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
+    """(holds, counterexample, tight_witnesses) per bound, straight from the
+    definitions: every subset with min degree >= h, and for L3.7 also a
+    nonempty complement with min degree >= h."""
+    bounds = {LEMMA_32: 1 << h, LEMMA_35: (1 << h) * (n + 1 - h),
+              LEMMA_37: (1 << h) * (n - h)}
+    found = {k: [True, None, 0] for k in bounds}
+    for x in enumerate_min_degree_subsets(g, h):
+        boundary = g.boundary_size(x)
+        quantities = {LEMMA_32: x.bit_count(),
+                      LEMMA_35: x.bit_count() + boundary}
+        y = g.vertex_mask ^ x
+        if y and g.induced_min_degree(y) >= h:
+            quantities[LEMMA_37] = boundary
+        for k, q in quantities.items():
+            if q < bounds[k]:
+                found[k][0] = False
+                if found[k][1] is None:
+                    found[k][1] = x
+            elif q == bounds[k]:
+                found[k][2] += 1
+    return {k: tuple(v) for k, v in found.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_scan_bounds_matches_brute_force(g):
+    # arbitrary graphs reach levels above some vertex's degree, which the
+    # regular family never does
+    n = g.max_degree()
+    for h in range(n + 2):
+        verdicts = _scan_bounds(g, n, h, "g", want35=True, want37=True)
+        expected = _brute_force_bounds(g, n, h)
+        for k, v in verdicts.items():
+            assert (v.holds, v.counterexample, v.tight_witnesses) == expected[k]
+            assert v.subsets_checked == g.vertex_mask
 
 
 # -- equality check (T3.8) ----------------------------------------------------------
