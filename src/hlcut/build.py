@@ -325,6 +325,9 @@ def trace_to_text(t: Trace) -> str:
 
 
 def _trace_from_obj(obj, path: str) -> Trace:
+    if len(path) > MAX_DIMENSION:  # bounds the recursion below
+        raise UsageError(
+            f"trace depth exceeds the construction cap {MAX_DIMENSION}")
     if not isinstance(obj, dict):
         raise UsageError(f"trace node at '{path or '<root>'}' is not an object")
     if set(obj) == {"leaf"}:
@@ -347,6 +350,9 @@ def trace_from_text(text: str) -> Trace:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"trace text is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError("trace text nests deeper than any realizable "
+                         "trace") from None
     return _trace_from_obj(obj, "")
 
 

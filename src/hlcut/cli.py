@@ -94,8 +94,7 @@ def cmd_solve(args) -> int:
     rows = []
     mismatch = False
     for h in levels:
-        report = lambda_sh_exact(g, h, method=args.method,
-                                 threads=args.threads, budget=args.budget,
+        report = lambda_sh_exact(g, h, method=args.method, budget=args.budget,
                                  override_gate=args.override_gate)
         reports.append(report)
         value = report.value if isinstance(report, CutReport) else None
@@ -133,8 +132,7 @@ def cmd_verify(args) -> int:
     verdicts: list[LemmaVerdict] = []
     for h in levels:
         if args.lemma == "thm":
-            v = check_theorem(hl, h, method=args.method, threads=args.threads,
-                              budget=args.budget,
+            v = check_theorem(hl, h, method=args.method, budget=args.budget,
                               override_gate=args.override_gate)
         else:
             v = checker(hl, h, override_gate=args.override_gate)
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="level, or 'all'")
     p.add_argument("--method", default=EXHAUSTIVE,
                    choices=[EXHAUSTIVE, BRANCH_AND_BOUND])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=float, default=None,
                    help="seconds before giving up with the incumbent")
     p.add_argument("--expect-theorem", action="store_true",
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="level, or 'all'")
     p.add_argument("--method", default=EXHAUSTIVE,
                    choices=[EXHAUSTIVE, BRANCH_AND_BOUND])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--override-gate", action="store_true")

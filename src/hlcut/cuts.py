@@ -12,12 +12,12 @@ smallest witness-side bitmask. Both methods return identical reports.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
-from .graph import Edge, Graph, check_gate, connected_within, min_degree_at_least
+from .graph import (Edge, Graph, check_gate, connected_within, keeps_degree,
+                    min_degree_at_least)
 
 EXHAUSTIVE = "exhaustive"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -67,22 +67,22 @@ def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
 
 # -- exhaustive scan ----------------------------------------------------------
 
-def _scan_range(adj, deg, order, h, lo, hi, deadline):
-    """Scan anchored masks m in [lo, hi); X = m << 1 never contains vertex 0.
-    Returns (complete, best_value, best_mask, examined). Requires every
-    degree >= h (the complement-side check only revisits X's neighbors)."""
+def _exhaustive(adj, deg, order, h, deadline):
+    """Scan every even mask X in ascending order, so X never contains the
+    anchor vertex 0 and the first minimum found is the smallest side.
+    Returns (best_value, best_mask, examined). Requires every degree >= h
+    (the complement-side check only revisits X's neighbors)."""
     full = (1 << order) - 1
     best = None
     best_mask = None
     examined = 0
     need = h + 1
     monotonic = time.monotonic
-    for m in range(lo, hi):
+    for x in range(2, 1 << order, 2):
         examined += 1
         if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
                 and monotonic() > deadline:
-            return False, best, best_mask, examined
-        x = m << 1
+            raise IncompleteSearchError(h, best, best_mask, examined, 0.0)
         if h:
             xc = x.bit_count()
             if xc < need or order - xc < need:
@@ -108,79 +108,39 @@ def _scan_range(adj, deg, order, h, lo, hi, deadline):
             t ^= b
         if not ok:
             continue
-        if h:
-            # only Y-vertices adjacent to X can have lost degree
-            y = full ^ x
-            t = nbhd & y
-            while t:
-                b = t & -t
-                if (adj[b.bit_length() - 1] & y).bit_count() < h:
-                    ok = False
-                    break
-                t ^= b
-            if not ok:
-                continue
+        # only complement vertices adjacent to X can have lost degree
+        y = full ^ x
+        if h and not keeps_degree(adj, nbhd & y, y, h):
+            continue
         best = cut
         best_mask = x
-    return True, best, best_mask, examined
-
-
-def _exhaustive(g: Graph, h: int, threads: int, deadline):
-    order = g.order
-    adj = g.adj
-    deg = tuple(a.bit_count() for a in adj)
-    total = (1 << (order - 1)) - 1  # masks 1 .. 2^(order-1) - 1
-    if total <= 0:
-        return None, None, 0
-    if threads <= 1 or total < 4 * threads:
-        results = [_scan_range(adj, deg, order, h, 1, total + 1, deadline)]
-    else:
-        bounds = [1 + i * total // threads for i in range(threads)] + [total + 1]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_scan_range, adj, deg, order, h,
-                                   bounds[i], bounds[i + 1], deadline)
-                       for i in range(threads)]
-            results = [f.result() for f in futures]
-    examined = sum(r[3] for r in results)
-    candidates = [(r[1], r[2]) for r in results if r[2] is not None]
-    best, best_mask = min(candidates) if candidates else (None, None)
-    if not all(r[0] for r in results):
-        raise IncompleteSearchError(h, best, best_mask, examined, 0.0)
     return best, best_mask, examined
 
 
 # -- branch and bound ---------------------------------------------------------
 
-def _others_keep_degree(adj, others, side, h):
-    """True iff every vertex in `others` still has >= h neighbours outside
-    `side`. Called with the opposite-side neighbours of a vertex just added
-    to `side`: they are the only vertices whose reachable degree dropped."""
-    while others:
-        b = others & -others
-        if (adj[b.bit_length() - 1] & ~side).bit_count() < h:
-            return False
-        others ^= b
-    return True
+def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
+    """Cheapest side X with cut < `limit`, deciding the vertices of `vorder`
+    in that order; the anchor 0 is pre-assigned to the complement Y.
+    Returns (best_value, best_side, examined), (None, None, examined) when
+    no such side exists.
 
-
-def _bnb_value(adj, deg, order, h, deadline):
-    """Exact minimum value and the side that attains it (or None, None).
-
-    Vertex order: descending degree, ties by index, anchor 0 pre-assigned
-    to the complement. Bound: edges already cut by the partial assignment.
-    Degree propagation: every assigned vertex must keep at least h
-    neighbours that are unassigned or on its own side, so a branch is
-    dropped when the vertex it assigns falls short, or when one of that
-    vertex's neighbours on the other side does. Only assignments in which
-    some vertex must end below degree h are pruned, so the value is exact.
-    The incumbent's side is kept so a budget expiry hands back a witness."""
-    vorder = sorted(range(1, order), key=lambda v: (-deg[v], v))
+    Each vertex tries Y first, so among cuts of equal value the first found
+    leaves the earlier vertices of `vorder` out of X. Bound: edges already
+    cut by the partial assignment, against the incumbent. Degree
+    propagation: every assigned vertex must keep at least h neighbours that
+    are unassigned or on its own side, so a branch is dropped when the
+    vertex it assigns falls short, or when one of that vertex's neighbours
+    on the other side does. Only assignments in which some vertex must end
+    below degree h are pruned, so the result is exact. The search stops
+    once an incumbent reaches `floor`, a value known to be minimal; a
+    budget expiry hands back the incumbent and its side."""
     depth = len(vorder)
     best = None
     best_side = None
     examined = 0
     monotonic = time.monotonic
-    # stack entries: (i, x, y, cut); X branch is explored first
+    # stack entries: (i, x, y, cut); the Y branch is explored first
     stack = [(0, 0, 1, 0)]
     while stack:
         i, x, y, cut = stack.pop()
@@ -188,84 +148,48 @@ def _bnb_value(adj, deg, order, h, deadline):
         if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
                 and monotonic() > deadline:
             raise IncompleteSearchError(h, best, best_side, examined, 0.0)
-        if best is not None and cut >= best:
+        if cut >= limit:
             continue
         if i == depth:
             if x and min_degree_at_least(adj, x, h) and min_degree_at_least(adj, y, h):
-                best = cut  # cut < best already ensured
+                best = limit = cut
                 best_side = x
+                if cut <= floor:
+                    break
             continue
         v = vorder[i]
         bit = 1 << v
         a = adj[v]
-        # Y branch (pushed first, explored second)
-        cut_y = cut + (a & x).bit_count()
-        if (best is None or cut_y < best) and (a & ~x).bit_count() >= h \
-                and _others_keep_degree(adj, a & x, y | bit, h):
-            stack.append((i + 1, x, y | bit, cut_y))
-        # X branch
+        # X branch (pushed first, explored second)
         cut_x = cut + (a & y).bit_count()
-        if (best is None or cut_x < best) and (a & ~y).bit_count() >= h \
-                and _others_keep_degree(adj, a & y, x | bit, h):
+        if cut_x < limit and (a & ~y).bit_count() >= h \
+                and keeps_degree(adj, a & y, ~(x | bit), h):
             stack.append((i + 1, x | bit, y, cut_x))
+        # Y branch
+        cut_y = cut + (a & x).bit_count()
+        if cut_y < limit and (a & ~x).bit_count() >= h \
+                and keeps_degree(adj, a & x, ~(y | bit), h):
+            stack.append((i + 1, x, y | bit, cut_y))
     return best, best_side, examined
 
 
-def _lexmin_witness(adj, order, h, target, incumbent, deadline):
-    """Smallest witness-side bitmask among cuts of exactly the minimum value
-    `target`, with the anchor vertex 0 outside the witness side. Vertices are
-    decided from the most significant bit down, side "out" first, so the
-    first complete feasible assignment is the lexicographic minimum. Prunes
-    with the same degree propagation as `_bnb_value`; a budget expiry hands
-    back `incumbent`, a side already known to attain `target`."""
-    examined = 0
-    monotonic = time.monotonic
-    # stack entries: (v, x, y, cut) with vertices v..1 still undecided
-    stack = [(order - 1, 0, 1, 0)]
-    while stack:
-        v, x, y, cut = stack.pop()
-        examined += 1
-        if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
-                and monotonic() > deadline:
-            raise IncompleteSearchError(h, target, incumbent, examined, 0.0)
-        if v == 0:
-            if x and min_degree_at_least(adj, x, h) and min_degree_at_least(adj, y, h):
-                return x, examined
-            continue
-        bit = 1 << v
-        a = adj[v]
-        # X branch pushed first, Y branch (v outside the witness) on top
-        cut_x = cut + (a & y).bit_count()
-        if cut_x <= target and (a & ~y).bit_count() >= h \
-                and _others_keep_degree(adj, a & y, x | bit, h):
-            stack.append((v - 1, x | bit, y, cut_x))
-        cut_y = cut + (a & x).bit_count()
-        if cut_y <= target and (a & ~x).bit_count() >= h \
-                and _others_keep_degree(adj, a & x, y | bit, h):
-            stack.append((v - 1, x, y | bit, cut_y))
-    return None, examined
-
-
 def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
-                    threads: int = 1, budget: float | None = None,
+                    budget: float | None = None,
                     override_gate: bool = False) -> CutReport | Nonexistent:
     """Exact minimum size of an edge cut leaving both sides at minimum degree
     >= h, with a witness side, or Nonexistent after a complete search.
 
-    Exhaustive enumerates all anchored bipartitions (optionally split into
-    contiguous ranges across threads; results are identical for any thread
-    count). Branch-and-bound computes the exact value first and then
-    reconstructs the lexicographically smallest witness, so both methods
-    return identical reports. Only exhaustive scans are gated by order
-    (`override_gate` lifts the gate); branch-and-bound is bounded by the
-    budget instead. A budget (seconds) turns an overlong search into
-    IncompleteSearchError carrying the best incumbent."""
+    Exhaustive enumerates all anchored bipartitions. Branch-and-bound
+    computes the exact value first and then reconstructs the
+    lexicographically smallest witness, so both methods return identical
+    reports. Only exhaustive scans are gated by order (`override_gate` lifts
+    the gate); branch-and-bound is bounded by the budget instead. A budget
+    (seconds) turns an overlong search into IncompleteSearchError carrying
+    the best incumbent."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
-    if threads < 1:
-        raise UsageError(f"thread count {threads} must be positive")
     if method == EXHAUSTIVE:
         check_gate(g.order, override_gate)
     if not g.is_connected():
@@ -280,23 +204,33 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
     if g.order < 2 or min(a.bit_count() for a in g.adj) < h:
         return finish_nonexistent(0)
 
-    deg = tuple(a.bit_count() for a in g.adj)
+    adj = g.adj
+    deg = tuple(a.bit_count() for a in adj)
+    best = best_mask = None
+    examined = 0
     try:
         if method == EXHAUSTIVE:
-            best, best_mask, examined = _exhaustive(g, h, threads, deadline)
+            best, best_mask, examined = _exhaustive(adj, deg, g.order, h,
+                                                    deadline)
         else:
-            best, best_mask, examined = _bnb_value(
-                g.adj, deg, g.order, h, deadline)
+            # value phase; a connected graph has no cut below 1
+            by_degree = sorted(range(1, g.order), key=lambda v: (-deg[v], v))
+            best, best_mask, examined = _branch_and_bound(
+                adj, by_degree, h, g.num_edges + 1, 1, deadline)
             if best is not None:
-                best_mask, extra = _lexmin_witness(
-                    g.adj, g.order, h, best, best_mask, deadline)
+                # witness phase: deciding the most significant vertex first,
+                # the first side found at the minimum is the smallest mask
+                _, best_mask, extra = _branch_and_bound(
+                    adj, range(g.order - 1, 0, -1), h, best + 1, best, deadline)
                 examined += extra
                 if best_mask is None:
                     raise AssertionError(
                         "no witness at the proven minimum value")
     except IncompleteSearchError as exc:
-        raise IncompleteSearchError(h, exc.best_value, exc.best_side,
-                                    exc.subsets_examined,
+        if best is None:  # otherwise the value phase's side attains `best`
+            best, best_mask = exc.best_value, exc.best_side
+        raise IncompleteSearchError(h, best, best_mask,
+                                    examined + exc.subsets_examined,
                                     budget if budget is not None else 0.0) from None
     if best is None:
         return finish_nonexistent(examined)

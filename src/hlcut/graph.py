@@ -62,6 +62,19 @@ def min_degree_at_least(adj: tuple[int, ...] | list[int], mask: int, h: int) -> 
     return True
 
 
+def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
+                 h: int) -> bool:
+    """True iff every vertex of `vertices` has at least h neighbors in
+    `within`. Searches pass only the vertices whose count may have dropped."""
+    t = vertices
+    while t:
+        b = t & -t
+        if (adj[b.bit_length() - 1] & within).bit_count() < h:
+            return False
+        t ^= b
+    return True
+
+
 def connected_within(adj: tuple[int, ...] | list[int], mask: int) -> bool:
     """True iff the vertices of `mask` form one component under `adj`
     restricted to `mask`. Zero or one vertex counts as connected."""
@@ -82,6 +95,11 @@ def connected_within(adj: tuple[int, ...] | list[int], mask: int) -> bool:
     return comp == mask
 
 
+def _check_order(order: int) -> None:
+    if order < 0 or order > MAX_ORDER:
+        raise UsageError(f"order {order} outside supported range 0..{MAX_ORDER}")
+
+
 class Graph:
     """Undirected simple graph, immutable after construction.
 
@@ -92,8 +110,7 @@ class Graph:
     __slots__ = ("order", "adj", "num_edges")
 
     def __init__(self, order: int, adj: Iterable[int]):
-        if order < 0 or order > MAX_ORDER:
-            raise UsageError(f"order {order} outside supported range 0..{MAX_ORDER}")
+        _check_order(order)
         adj = tuple(adj)
         if len(adj) != order:
             raise UsageError(f"adjacency has {len(adj)} entries for order {order}")
@@ -121,6 +138,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(order)  # before allocating one mask per vertex
         adj = [0] * order
         for u, v in edges:
             u, v = canonical_edge(u, v)

@@ -21,7 +21,7 @@ from typing import Iterator
 from .build import HlGraph
 from .cuts import EXHAUSTIVE, CutReport, lambda_sh_exact
 from .errors import UsageError
-from .graph import Graph, check_gate, min_degree_at_least
+from .graph import Graph, check_gate, keeps_degree, min_degree_at_least
 
 LEMMA_32 = "L3.2"
 LEMMA_35 = "L3.5"
@@ -112,13 +112,10 @@ def _scan_bounds(g: Graph, n: int, h: int, graph_id: str,
             t35.feed(size + cut, x)
         if t37 is not None:
             y = full ^ x
-            if y:
-                # when every degree is >= h, only the complement vertices
-                # adjacent to X can have dropped below h
-                y_ok = (_boundary_side_ok(adj, nbhd & y, y, h) if all_deg_ok
-                        else min_degree_at_least(adj, y, h))
-                if y_ok:
-                    t37.feed(cut, x)
+            # a vertex of degree < h fits on neither side; otherwise only the
+            # complement vertices adjacent to X can have dropped below h
+            if y and all_deg_ok and keeps_degree(adj, nbhd & y, y, h):
+                t37.feed(cut, x)
 
     out = {LEMMA_32: LemmaVerdict(LEMMA_32, graph_id, h, t32.holds,
                                   t32.counterexample, subsets, t32.tight)}
@@ -129,18 +126,6 @@ def _scan_bounds(g: Graph, n: int, h: int, graph_id: str,
         out[LEMMA_37] = LemmaVerdict(LEMMA_37, graph_id, h, t37.holds,
                                      t37.counterexample, subsets, t37.tight)
     return out
-
-
-def _boundary_side_ok(adj, frontier: int, y: int, h: int) -> bool:
-    """Min degree >= h inside y, assuming every vertex outside `frontier`
-    kept its full degree (valid when all degrees are >= h)."""
-    t = frontier
-    while t:
-        b = t & -t
-        if (adj[b.bit_length() - 1] & y).bit_count() < h:
-            return False
-        t ^= b
-    return True
 
 
 def _require_level(h: int, top: int, what: str) -> None:
@@ -181,13 +166,13 @@ def check_bound_lemmas(hl: HlGraph, h: int,
 
 
 def check_theorem(hl: HlGraph, h: int, method: str = EXHAUSTIVE,
-                  threads: int = 1, budget: float | None = None,
+                  budget: float | None = None,
                   override_gate: bool = False) -> LemmaVerdict:
     """Exact solver value versus the closed form 2^h(n-h). tight_witnesses is
     not meaningful here (the solver reports one witness) and is fixed at 0."""
     _require_level(h, hl.n - 1, "equality check")
-    report = lambda_sh_exact(hl.graph, h, method=method, threads=threads,
-                             budget=budget, override_gate=override_gate)
+    report = lambda_sh_exact(hl.graph, h, method=method, budget=budget,
+                             override_gate=override_gate)
     formula = (1 << h) * (hl.n - h)
     if isinstance(report, CutReport):
         holds = report.value == formula

@@ -65,6 +65,19 @@ def random_simple_graph(rng: random.Random, order: int, p: float = 0.45) -> Grap
     return Graph.from_edges(order, edges)
 
 
+def left_deep_trace_text(depth: int) -> str:
+    """Trace text nested `depth` levels down the left spine; invalid past the
+    construction cap but well-formed JSON."""
+    return ('{"left":' * depth + '{"leaf":true}'
+            + ',"right":{"leaf":true},"sigma":[0]}' * depth + "\n")
+
+
+def right_deep_trace_text(depth: int) -> str:
+    """Trace text nested `depth` levels down the right spine."""
+    return ('{"left":{"leaf":true},"right":' * depth + '{"leaf":true}'
+            + ',"sigma":[0]}' * depth + "\n")
+
+
 # -- hypothesis strategies -----------------------------------------------------
 
 @st.composite

@@ -12,10 +12,10 @@ from hlcut import (FIG1_EDGES, TraceError, UsageError, block_vertices,
                    edge_level, fig1_graph, from_trace, hypercube, mask_of,
                    oplus, random_hl, realize, trace_from_text, trace_to_text,
                    validate_trace)
-from hlcut.build import (LEAF, Leaf, Node, SplitMix64, fnv1a64,
-                         left_descendant, relabel_graph)
+from hlcut.build import (LEAF, MAX_DIMENSION, Leaf, Node, SplitMix64,
+                         fnv1a64, left_descendant, relabel_graph)
 
-from conftest import hl_members
+from conftest import hl_members, left_deep_trace_text, right_deep_trace_text
 
 
 # -- oplus ----------------------------------------------------------------------
@@ -202,6 +202,17 @@ def test_trace_text_shape():
 def test_trace_text_rejects_malformed(bad):
     with pytest.raises(UsageError):
         trace_from_text(bad)
+
+
+@pytest.mark.parametrize("text", [left_deep_trace_text(20_000),
+                                  right_deep_trace_text(3_000),
+                                  right_deep_trace_text(MAX_DIMENSION + 1)],
+                         ids=["left-20000", "right-3000", "right-cap+1"])
+def test_trace_text_rejects_deep_nesting(text):
+    # the first two overflow the JSON parser's recursion; the third parses
+    # and is stopped by the depth cap before the tree is walked further
+    with pytest.raises(UsageError):
+        trace_from_text(text)
 
 
 def test_from_trace_entry_point_for_custom_matchings():

@@ -7,6 +7,9 @@ import pytest
 from hlcut import (fig1_graph, graph_to_text, hypercube, parse_report_lines,
                    random_hl, read_graph, read_trace, realize, write_graph)
 from hlcut.cli import main
+from hlcut.graph import MAX_ORDER
+
+from conftest import left_deep_trace_text, right_deep_trace_text
 
 
 def run(*argv):
@@ -114,13 +117,15 @@ def test_solve_mismatch_exits_nonzero(tmp_path):
 def test_solve_reports_identical_across_methods_and_threads(q4_file, tmp_path):
     blobs = set()
     for method in ("exhaustive", "branch-and-bound"):
-        for threads in (1, 4):
-            out = tmp_path / f"r-{method}-{threads}.jsonl"
-            assert run("solve", "--graph", q4_file, "--h", "all",
-                       "--method", method, "--threads", threads,
-                       "--out", out) == 0
-            blobs.add(out.read_bytes())
+        out = tmp_path / f"r-{method}.jsonl"
+        assert run("solve", "--graph", q4_file, "--h", "all",
+                   "--method", method, "--out", out) == 0
+        blobs.add(out.read_bytes())
     assert len(blobs) == 1
+    # the search is single-threaded; the option is gone
+    with pytest.raises(SystemExit) as err:
+        run("solve", "--graph", q4_file, "--h", "all", "--threads", 2)
+    assert err.value.code == 2
 
 
 def test_solve_usage_errors(tmp_path):
@@ -135,6 +140,13 @@ def test_solve_usage_errors(tmp_path):
     q3 = tmp_path / "q3.graph"
     write_graph(q3, hypercube(3).graph)
     assert run("solve", "--graph", q3, "--h", "x") == 2
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 99999999999999999999])
+def test_solve_oversized_header_is_a_usage_error(tmp_path, order):
+    path = tmp_path / "big.graph"
+    path.write_text(f"{order} 0\n")
+    assert run("solve", "--graph", path, "--h", 0) == 2
 
 
 def test_solve_budget_exhaustion_exit_code(tmp_path):
@@ -184,6 +196,15 @@ def test_verify_rejects_bad_trace(tmp_path):
     bad = tmp_path / "bad.trace"
     bad.write_text('{"left":{"leaf":true},"right":{"leaf":true},"sigma":[0,0]}\n')
     assert run("verify", "--lemma", "3.2", "--trace", bad, "--h", 0) == 2
+
+
+def test_verify_rejects_deep_traces(tmp_path):
+    # both nest past the interpreter's recursion limit
+    for i, text in enumerate((left_deep_trace_text(20_000),
+                              right_deep_trace_text(3_000))):
+        path = tmp_path / f"deep{i}.trace"
+        path.write_text(text)
+        assert run("verify", "--lemma", "3.2", "--trace", path, "--h", 0) == 2
 
 
 # -- kappa -------------------------------------------------------------------------

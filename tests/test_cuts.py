@@ -10,6 +10,7 @@ from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport,
                    IncompleteSearchError, Nonexistent, UsageError,
                    canonical_cut, fig1_graph, hypercube, is_h_edge_cut,
                    lambda_sh_exact, mask_of, random_hl)
+from hlcut import cuts
 from hlcut.graph import Graph
 
 from conftest import hl_members, small_graphs
@@ -152,9 +153,8 @@ def test_level_zero_matches_maxflow_edge_connectivity():
 def test_methods_and_threads_agree(q3, fig1):
     for hl in (q3, fig1, random_hl(4, 5)):
         for h in range(hl.n):
-            reports = [
-                lambda_sh_exact(hl.graph, h, method=m, threads=t)
-                for m in (EXHAUSTIVE, BRANCH_AND_BOUND) for t in (1, 4)]
+            reports = [lambda_sh_exact(hl.graph, h, method=m)
+                       for m in (EXHAUSTIVE, BRANCH_AND_BOUND)]
             baseline = reports[0]
             for r in reports[1:]:
                 if isinstance(baseline, Nonexistent):
@@ -250,6 +250,27 @@ def test_budget_exhaustion_branch_and_bound_carries_witness():
     assert best_value is not None
     assert len(g.edge_boundary(best_side)) == best_value
     assert is_h_edge_cut(g, g.edge_boundary(best_side), 3)
+
+
+def test_witness_phase_expiry_hands_back_the_value_phase_side(monkeypatch):
+    search = cuts._branch_and_bound
+    phases = []
+
+    def value_phase_then_expiry(*args):
+        if phases:
+            raise IncompleteSearchError(2, None, None, 7, 0.0)
+        phases.append(search(*args))
+        return phases[0]
+
+    monkeypatch.setattr(cuts, "_branch_and_bound", value_phase_then_expiry)
+    g = hypercube(4).graph
+    with pytest.raises(IncompleteSearchError) as err:
+        lambda_sh_exact(g, 2, method=BRANCH_AND_BOUND, budget=60.0)
+    value, side, nodes = phases[0]
+    assert (err.value.best_value, err.value.best_side) == (value, side)
+    assert value == 8 and len(g.edge_boundary(side)) == 8
+    assert err.value.subsets_examined == nodes + 7  # both phases
+    assert err.value.budget == 60.0
 
 
 def test_budget_exhaustion_exhaustive_carries_incumbent():

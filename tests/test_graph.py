@@ -95,6 +95,15 @@ def test_graph_rejects_order_above_cap():
         Graph(MAX_ORDER + 1, [0] * (MAX_ORDER + 1))
 
 
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 99999999999999999999])
+def test_header_order_checked_before_allocation(order):
+    # the second order is too large to size a list at all
+    with pytest.raises(UsageError):
+        Graph.from_edges(order, [])
+    with pytest.raises(UsageError):
+        graph_from_text(f"{order} 0\n")
+
+
 def test_graph_is_immutable(q3):
     with pytest.raises(AttributeError):
         q3.graph.order = 5
