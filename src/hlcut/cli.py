@@ -3,7 +3,7 @@ bound verifiers, print reproduction tables, and write machine-readable
 reports.
 
 Exit codes: 0 all checks pass, 1 verified mismatch or counterexample,
-2 usage error, 3 incomplete search (budget exhausted).
+2 usage error, 3 incomplete search (budget exhausted), 4 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .lemmas import (LemmaVerdict, check_lemma_32, check_lemma_35,
                      check_lemma_37, check_theorem)
 from .reports import write_reports
 
-OK, MISMATCH, USAGE, INCOMPLETE = 0, 1, 2, 3
+OK, MISMATCH, USAGE, INCOMPLETE, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _parse_h(value: str, top: int, allow_all: bool = True) -> list[int]:
@@ -234,6 +234,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        # a bug, never a verdict: exit 1 is reserved for a verified mismatch
+        import traceback  # here, so a normal run does not load it
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

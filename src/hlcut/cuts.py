@@ -7,6 +7,14 @@ smaller cut with the same component), so the search space is bipartitions:
 nonempty X not containing the anchor vertex 0, with min degree >= h inside X
 and inside its complement. Tie-break among minimum cuts: the lexicographically
 smallest witness-side bitmask. Both methods return identical reports.
+
+Branch-and-bound assigns vertices to X or to the anchor's side Y and prunes a
+partial assignment by two lower bounds on every completion's cut: the edges
+already cut, and the value of an X->Y max-flow (any completion's cut
+separates the assigned X from the assigned Y, so it is at least that value).
+The flow is kept incrementally: a node starts from its parent's flow, which
+stays feasible with the same value because the newly assigned vertex was
+free, with inflow equal to outflow.
 """
 
 from __future__ import annotations
@@ -119,6 +127,63 @@ def _exhaustive(adj, deg, order, h, deadline):
 
 # -- branch and bound ---------------------------------------------------------
 
+def _augment(adj, out, x, y, value, limit, frontier, seen):
+    """Raise the unit flow `out` from X to Y until its value reaches
+    `limit` or no augmenting path is left. Returns the new value and, when
+    it is below `limit`, the vertices the residual graph reaches from X.
+    The first search starts from `frontier` with `seen` already visited:
+    both X for a search from scratch, or a vertex new to X and that vertex
+    plus the reach from the rest of X under a maximum flow. Later searches
+    start from X.
+
+    Bit w of out[u] is one unit on u->w, and no edge carries flow both ways,
+    so the residual arc u->w exists iff w is adjacent to u and that bit is
+    clear. Each round is a layered BFS that stops at the first layer
+    meeting Y. From each sink in that layer it then walks back one layer at
+    a time over residual arcs, pushing a unit along every path it completes
+    (cancelling reverse flow where there is some), until a walk dead-ends."""
+    while value < limit:
+        layers = []
+        while frontier:
+            layers.append(frontier)
+            step = 0
+            t = frontier
+            while t:
+                b = t & -t
+                u = b.bit_length() - 1
+                step |= adj[u] & ~out[u]
+                t ^= b
+            frontier = step & ~seen
+            if frontier & y:
+                break
+            seen |= frontier
+        sinks = frontier & y
+        if not sinks:
+            return value, seen
+        while sinks and value < limit:
+            w = (sinks & -sinks).bit_length() - 1
+            path = []
+            for layer in reversed(layers):
+                t = layer & adj[w]
+                while t and out[(t & -t).bit_length() - 1] >> w & 1:
+                    t &= t - 1
+                if not t:
+                    sinks &= sinks - 1  # this sink is done for the round
+                    break
+                u = (t & -t).bit_length() - 1
+                path.append((u, w))
+                w = u
+            else:
+                for u, w in path:
+                    if out[w] >> u & 1:
+                        out[w] ^= 1 << u
+                    else:
+                        out[u] |= 1 << w
+                value += 1
+        frontier = seen = x
+    return value, None
+
+
 def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     """Cheapest side X with cut < `limit`, deciding the vertices of `vorder`
     in that order; the anchor 0 is pre-assigned to the complement Y.
@@ -126,24 +191,40 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     no such side exists.
 
     Each vertex tries Y first, so among cuts of equal value the first found
-    leaves the earlier vertices of `vorder` out of X. Bound: edges already
-    cut by the partial assignment, against the incumbent. Degree
+    leaves the earlier vertices of `vorder` out of X. Bounds, against the
+    incumbent: the edges already cut by the partial assignment, and the
+    value of an X->Y flow. Every completion cuts an edge set separating the
+    assigned X from the assigned Y, so by max-flow/min-cut it cuts at least
+    as many edges as any X->Y flow carries; a node whose flow reaches
+    `limit` has no completion below it. Each node carries a unit flow
+    (see `_augment`) and its value, and augments only up to `limit`. The
+    branched vertex v was free, so its inflow equals its outflow and the
+    parent's flow stays feasible, with the same value, once v joins X or Y:
+    the Y child (explored first) reuses the parent's list and the X child a
+    copy. A maximum flow also leaves the set R its residual graph reaches
+    from X, which holds no Y vertex and has no residual arc leaving it. So
+    the Y child has an augmenting path iff v is in R, and the X child can
+    only have one from v, outside R; the other child's flow is still
+    maximum and keeps R. Degree
     propagation: every assigned vertex must keep at least h neighbours that
     are unassigned or on its own side, so a branch is dropped when the
     vertex it assigns falls short, or when one of that vertex's neighbours
-    on the other side does. Only assignments in which some vertex must end
-    below degree h are pruned, so the result is exact. The search stops
-    once an incumbent reaches `floor`, a value known to be minimal; a
-    budget expiry hands back the incumbent and its side."""
+    on the other side does. Only subtrees without a completion below
+    `limit` that keeps every degree at h are pruned, so the result is exact.
+    The search stops once an incumbent reaches `floor`, a value known to be
+    minimal; a budget expiry hands back the incumbent and its side."""
     depth = len(vorder)
     best = None
     best_side = None
     examined = 0
     monotonic = time.monotonic
-    # stack entries: (i, x, y, cut); the Y branch is explored first
-    stack = [(0, 0, 1, 0)]
+    # stack entries: (i, x, y, cut, flow, flow value, start, seen); a
+    # nonzero start is where the search for augmenting paths begins, with
+    # seen visited, and a zero start marks a maximum flow whose residual
+    # graph reaches exactly seen from X; Y is explored first
+    stack = [(0, 0, 1, 0, [0] * len(adj), 0, 0, 0)]
     while stack:
-        i, x, y, cut = stack.pop()
+        i, x, y, cut, out, value, start, seen = stack.pop()
         examined += 1
         if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
                 and monotonic() > deadline:
@@ -157,6 +238,10 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
                 if cut <= floor:
                     break
             continue
+        if start:
+            value, seen = _augment(adj, out, x, y, value, limit, start, seen)
+        if value >= limit:
+            continue
         v = vorder[i]
         bit = 1 << v
         a = adj[v]
@@ -164,12 +249,16 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
         cut_x = cut + (a & y).bit_count()
         if cut_x < limit and (a & ~y).bit_count() >= h \
                 and keeps_degree(adj, a & y, ~(x | bit), h):
-            stack.append((i + 1, x | bit, y, cut_x))
+            # a path from v to Y avoids the closed, Y-free reach of X
+            stack.append((i + 1, x | bit, y, cut_x, out[:], value,
+                          *((0, seen) if seen & bit else (bit, seen | bit))))
         # Y branch
         cut_y = cut + (a & x).bit_count()
         if cut_y < limit and (a & ~x).bit_count() >= h \
                 and keeps_degree(adj, a & x, ~(y | bit), h):
-            stack.append((i + 1, x, y | bit, cut_y))
+            # v is a new sink: a path exists iff X reaches v
+            stack.append((i + 1, x, y | bit, cut_y, out, value,
+                          *((x, x) if seen & bit else (0, seen))))
     return best, best_side, examined
 
 

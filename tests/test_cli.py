@@ -6,6 +6,7 @@ import pytest
 
 from hlcut import (fig1_graph, graph_to_text, hypercube, parse_report_lines,
                    random_hl, read_graph, read_trace, realize, write_graph)
+from hlcut import cli
 from hlcut.cli import main
 from hlcut.graph import MAX_ORDER
 
@@ -151,9 +152,23 @@ def test_solve_oversized_header_is_a_usage_error(tmp_path, order):
 
 def test_solve_budget_exhaustion_exit_code(tmp_path):
     path = tmp_path / "hl6.graph"
-    write_graph(path, random_hl(6, 1).graph)  # h=3 outlasts 30 s
+    # h=3 completes in about 1 s and ~54k nodes, far past the 0.02 s
+    # budget; the first deadline check comes at node 4096
+    write_graph(path, random_hl(6, 1).graph)
     assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02,
                "--method", "branch-and-bound") == 3
+
+
+def test_internal_error_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "lambda_sh_exact", broken)
+    path = tmp_path / "q3.graph"
+    write_graph(path, hypercube(3).graph)
+    assert run("solve", "--graph", path, "--h", 1) == 4
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: boom" in err
 
 
 # -- verify ------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport,
                    IncompleteSearchError, Nonexistent, UsageError,
@@ -191,6 +192,122 @@ def test_branch_and_bound_node_count_on_q5():
     assert total < 100_000
 
 
+def test_branch_and_bound_dimension_six_mid_level():
+    # the X->Y flow bound proves the level-3 optimum; with the cut-so-far
+    # bound alone Q6 needs about 6.4M nodes
+    q6 = lambda_sh_exact(hypercube(6).graph, 3, method=BRANCH_AND_BOUND)
+    assert (q6.value, q6.witness_side) == (24, 0xAAAA)
+    assert q6.subsets_examined < 150_000
+    hl6 = lambda_sh_exact(random_hl(6, 1).graph, 3, method=BRANCH_AND_BOUND)
+    assert (hl6.value, hl6.witness_side) == (24, 0xFF00)
+
+
+# -- the flow bound ------------------------------------------------------------------
+
+def _min_separating_cut(g: Graph, x: int, y: int) -> int:
+    """Smallest |boundary(S)| over every S with X <= S <= V - Y, by brute
+    force over the free vertices."""
+    free = [v for v in range(g.order) if not (x | y) >> v & 1]
+    edges = list(g.edges())
+    best = None
+    for pick in range(1 << len(free)):
+        s = x
+        for k, v in enumerate(free):
+            if pick >> k & 1:
+                s |= 1 << v
+        size = sum((s >> u & 1) != (s >> v & 1) for u, v in edges)
+        best = size if best is None else min(best, size)
+    return best
+
+
+def _assert_unit_flow(g: Graph, out, x: int, y: int, value: int) -> None:
+    inflow = [0] * g.order
+    for u in range(g.order):
+        assert out[u] & ~g.adj[u] == 0  # only graph edges carry flow
+        for w in range(g.order):
+            if out[u] >> w & 1:
+                assert not out[w] >> u & 1  # never both directions
+                inflow[w] += 1
+    for u in range(g.order):
+        if not (x | y) >> u & 1:
+            assert out[u].bit_count() == inflow[u]
+    assert sum(out[u].bit_count() - inflow[u]
+               for u in range(g.order) if x >> u & 1) == value
+
+
+def _residual_reach(g: Graph, out, x: int) -> int:
+    """Vertices reachable from X over edges u-w that carry no unit u->w."""
+    reach = {v for v in range(g.order) if x >> v & 1}
+    queue = list(reach)
+    while queue:
+        u = queue.pop()
+        for v in range(g.order):
+            if v not in reach and g.adj[u] >> v & 1 and not out[u] >> v & 1:
+                reach.add(v)
+                queue.append(v)
+    return sum(1 << v for v in reach)
+
+
+@st.composite
+def _terminals(draw):
+    """A graph and disjoint nonempty X and Y; the other vertices are free."""
+    g = draw(small_graphs().filter(lambda g: g.order >= 2))
+    roles = draw(st.lists(st.sampled_from("XYF"), min_size=g.order,
+                          max_size=g.order))
+    x = sum(1 << v for v, r in enumerate(roles) if r == "X")
+    y = sum(1 << v for v, r in enumerate(roles) if r == "Y")
+    assume(x and y)
+    return g, x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terminals(), st.data())
+def test_flow_bound_equals_the_minimum_separating_cut(case, data):
+    g, x, y = case
+    unreachable = g.num_edges + 1
+    out = [0] * g.order
+    value, reach = cuts._augment(g.adj, out, x, y, 0, unreachable, x, x)
+    assert value == _min_separating_cut(g, x, y)
+    _assert_unit_flow(g, out, x, y, value)
+    assert reach == _residual_reach(g, out, x)
+    assert not reach & y
+    # the augmentation stops at the limit
+    limit = data.draw(st.integers(0, value))
+    assert cuts._augment(g.adj, [0] * g.order, x, y, 0, limit, x, x)[0] == limit
+    # warm start as the search does it: the flow stays feasible when a free
+    # vertex joins a side, and the reach says where a new path can start
+    free = [v for v in range(g.order) if not (x | y) >> v & 1]
+    if not free:
+        return
+    bit = 1 << data.draw(st.sampled_from(free))
+    if data.draw(st.booleans()):
+        x |= bit
+        start, seen = (0, reach) if reach & bit else (bit, reach | bit)
+    else:
+        y |= bit
+        start, seen = (x, x) if reach & bit else (0, reach)
+    _assert_unit_flow(g, out, x, y, value)
+    warm = value
+    if start:
+        warm, seen = cuts._augment(g.adj, out, x, y, value, unreachable,
+                                   start, seen)
+    assert warm == _min_separating_cut(g, x, y)
+    _assert_unit_flow(g, out, x, y, warm)
+    assert seen == _residual_reach(g, out, x)
+
+
+def test_flow_bound_cancels_reverse_flow():
+    # the only shortest path 0-1-2-3 blocks the second path, which must run
+    # 2->1 against the first unit: 0-4-5-2-1-6-7-3
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (2, 5),
+                             (1, 6), (6, 7), (3, 7)])
+    out = [0] * g.order
+    value, reach = cuts._augment(g.adj, out, 1, 1 << 3, 0, 10, 1, 1)
+    assert (value, reach) == (2, 1)
+    _assert_unit_flow(g, out, 1, 1 << 3, value)
+    assert not out[1] >> 2 & 1 and not out[2] >> 1 & 1
+
+
 @settings(max_examples=15, deadline=None)
 @given(hl_members(max_n=4))
 def test_solver_witness_is_always_a_valid_cut(hl):
@@ -234,7 +351,10 @@ def test_unknown_method_rejected(q3):
 
 
 def test_budget_exhaustion_raises_incomplete():
-    hl6 = random_hl(6, 1)  # h=3 outlasts 30 s
+    # h=3 completes in about 1 s and ~54k nodes, far past the 0.02 s
+    # budget; the incumbent arrives long before the first deadline check,
+    # at node 4096
+    hl6 = random_hl(6, 1)
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(hl6.graph, 3, method=BRANCH_AND_BOUND, budget=0.02)
     assert err.value.budget == 0.02
