@@ -12,7 +12,7 @@ from .build import (FIG1_EDGES, FIG1_RELABEL, FIG1_TRACE, HlGraph, Leaf, Node,
 from .cuts import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport, Nonexistent,
                    canonical_cut, is_h_edge_cut, lambda_sh_exact)
 from .errors import IncompleteSearchError, TraceError, UsageError
-from .graph import (Graph, MAX_ORDER, SOLVER_GATE, bits, canonical_edge,
+from .graph import (Graph, MAX_ORDER, SOLVER_GATE, canonical_edge,
                     graph_from_text, graph_to_text, mask_of, read_graph,
                     write_graph)
 from .kappa import KappaReport, is_h_vertex_cut, kappa_sh_exact, subsets_of_size

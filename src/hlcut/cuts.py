@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
-from .graph import (Edge, Graph, check_gate, connected_within, keeps_degree,
-                    min_degree_at_least)
+from .graph import (Edge, Graph, boundary_walk, check_gate, connected_within,
+                    keeps_degree, min_degree_at_least)
 
 EXHAUSTIVE = "exhaustive"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -75,53 +75,25 @@ def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
 
 # -- exhaustive scan ----------------------------------------------------------
 
-def _exhaustive(adj, deg, order, h, deadline):
-    """Scan every even mask X in ascending order, so X never contains the
-    anchor vertex 0 and the first minimum found is the smallest side.
-    Returns (best_value, best_mask, examined). Requires every degree >= h
-    (the complement-side check only revisits X's neighbors)."""
+def _exhaustive(adj, order, h, deadline):
+    """Walk every nonempty X among the vertices 1..order-1, so X never
+    contains the anchor vertex 0, and keep the smallest cut whose sides both
+    keep min degree >= h, the smallest mask among equal cuts. Only a subset
+    that would beat the incumbent is tested. Returns (best_value, best_mask,
+    examined)."""
     full = (1 << order) - 1
-    best = None
-    best_mask = None
+    best = best_mask = None
     examined = 0
-    need = h + 1
     monotonic = time.monotonic
-    for x in range(2, 1 << order, 2):
+    for x, _, cut in boundary_walk(adj, 1):
         examined += 1
         if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
                 and monotonic() > deadline:
             raise IncompleteSearchError(h, best, best_mask, examined, 0.0)
-        if h:
-            xc = x.bit_count()
-            if xc < need or order - xc < need:
-                continue
-        # one pass over X: min degree inside X, boundary size, X's neighborhood
-        cut = 0
-        nbhd = 0
-        ok = True
-        t = x
-        while t:
-            b = t & -t
-            v = b.bit_length() - 1
-            a = adj[v]
-            dx = (a & x).bit_count()
-            if dx < h:
-                ok = False
-                break
-            cut += deg[v] - dx
-            if best is not None and cut >= best:
-                ok = False
-                break
-            nbhd |= a
-            t ^= b
-        if not ok:
-            continue
-        # only complement vertices adjacent to X can have lost degree
-        y = full ^ x
-        if h and not keeps_degree(adj, nbhd & y, y, h):
-            continue
-        best = cut
-        best_mask = x
+        if (best is None or cut < best or (cut == best and x < best_mask)) \
+                and min_degree_at_least(adj, x, h) \
+                and min_degree_at_least(adj, full ^ x, h):
+            best, best_mask = cut, x
     return best, best_mask, examined
 
 
@@ -294,16 +266,15 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
         return finish_nonexistent(0)
 
     adj = g.adj
-    deg = tuple(a.bit_count() for a in adj)
     best = best_mask = None
     examined = 0
     try:
         if method == EXHAUSTIVE:
-            best, best_mask, examined = _exhaustive(adj, deg, g.order, h,
-                                                    deadline)
+            best, best_mask, examined = _exhaustive(adj, g.order, h, deadline)
         else:
             # value phase; a connected graph has no cut below 1
-            by_degree = sorted(range(1, g.order), key=lambda v: (-deg[v], v))
+            by_degree = sorted(range(1, g.order),
+                               key=lambda v: (-adj[v].bit_count(), v))
             best, best_mask, examined = _branch_and_bound(
                 adj, by_degree, h, g.num_edges + 1, 1, deadline)
             if best is not None:

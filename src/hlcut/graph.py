@@ -34,14 +34,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Set bit positions of `mask`, ascending."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def check_gate(order: int, override_gate: bool) -> None:
     if order > SOLVER_GATE and not override_gate:
         raise UsageError(
@@ -73,6 +65,28 @@ def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
             return False
         t ^= b
     return True
+
+
+def boundary_walk(adj: tuple[int, ...] | list[int],
+                  first: int = 0) -> Iterator[tuple[int, int, int]]:
+    """Every nonempty subset X of the vertices first..order-1, once each, as
+    (X, |X|, |boundary(X)|), in reflected Gray-code order (Knuth, TAOCP
+    7.2.1.1). Step i moves the vertex v = first + (trailing zeros of i) into
+    or out of X, so |X| moves by one and the boundary by
+    +-(deg v - 2|N(v) & X|)."""
+    x = size = cut = 0
+    for i in range(1, 1 << (len(adj) - first)):
+        v = first + (i & -i).bit_length() - 1
+        a = adj[v]
+        d = a.bit_count() - 2 * (a & x).bit_count()
+        x ^= 1 << v
+        if x >> v & 1:
+            size += 1
+            cut += d
+        else:
+            size -= 1
+            cut -= d
+        yield x, size, cut
 
 
 def connected_within(adj: tuple[int, ...] | list[int], mask: int) -> bool:

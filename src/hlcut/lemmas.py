@@ -8,9 +8,10 @@ minimum induced degree >= h:
   L3.5   |X| + |boundary(X)| >= 2^h(n+1-h)   (h in 0..n-1)
   L3.7   |boundary(X)| >= 2^h(n-h)           (h in 0..n-1, both sides >= h)
 
-and T3.8 is the solver-vs-formula equality check. One scan of all nonempty
-subsets serves every bound at a given (graph, h); the dominant cost is the
-2^order enumeration, not the bookkeeping.
+and T3.8 is the solver-vs-formula equality check. One Gray-code walk over
+all nonempty subsets serves every bound at a given (graph, h). It updates
+|X| and |boundary(X)| in O(1) per subset, and only the subsets at or below
+a bound are tested for minimum degree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator
 from .build import HlGraph
 from .cuts import EXHAUSTIVE, CutReport, lambda_sh_exact
 from .errors import UsageError
-from .graph import Graph, check_gate, keeps_degree, min_degree_at_least
+from .graph import Graph, boundary_walk, check_gate, min_degree_at_least
 
 LEMMA_32 = "L3.2"
 LEMMA_35 = "L3.5"
@@ -35,7 +36,7 @@ class LemmaVerdict:
     graph_id: str
     h: int
     holds: bool
-    counterexample: int | None  # vertex mask of the first violating subset
+    counterexample: int | None  # smallest mask of a violating subset
     subsets_checked: int
     tight_witnesses: int  # subsets meeting the bound with equality
 
@@ -64,68 +65,34 @@ class _Tally:
     def feed(self, quantity: int, mask: int) -> None:
         if quantity < self.bound:
             self.holds = False
-            if self.counterexample is None:
+            if self.counterexample is None or mask < self.counterexample:
                 self.counterexample = mask
         elif quantity == self.bound:
             self.tight += 1
 
 
 def _scan_bounds(g: Graph, n: int, h: int, graph_id: str,
-                 want35: bool, want37: bool,
                  override_gate: bool = False) -> dict[str, LemmaVerdict]:
-    """One pass over all nonempty subsets; returns verdicts for L3.2 and
-    (when requested) L3.5 / L3.7."""
+    """Verdicts for L3.2, L3.5 and L3.7 from one walk over all nonempty
+    subsets. Only a subset at or below some bound can change a verdict, so
+    only those are tested for min degree >= h (and, for L3.7, for a
+    nonempty complement that keeps it too)."""
     check_gate(g.order, override_gate)
     adj = g.adj
-    order = g.order
-    deg = tuple(a.bit_count() for a in adj)
-    full = (1 << order) - 1
-    all_deg_ok = order > 0 and min(deg) >= h
-
-    t32 = _Tally(1 << h)
-    t35 = _Tally((1 << h) * (n + 1 - h)) if want35 else None
-    t37 = _Tally((1 << h) * (n - h)) if want37 else None
-    subsets = (1 << order) - 1
-
-    for x in range(1, 1 << order):
-        # min degree inside X, with boundary size and neighborhood on the side
-        cut = 0
-        nbhd = 0
-        ok = True
-        size = 0
-        t = x
-        while t:
-            b = t & -t
-            v = b.bit_length() - 1
-            dx = (adj[v] & x).bit_count()
-            if dx < h:
-                ok = False
-                break
-            size += 1
-            cut += deg[v] - dx
-            nbhd |= adj[v]
-            t ^= b
-        if not ok:
-            continue
-        t32.feed(size, x)
-        if t35 is not None:
+    full = g.vertex_mask
+    b32, b35, b37 = 1 << h, (1 << h) * (n + 1 - h), (1 << h) * (n - h)
+    t32, t35, t37 = _Tally(b32), _Tally(b35), _Tally(b37)
+    for x, size, cut in boundary_walk(adj):
+        if (size <= b32 or size + cut <= b35 or cut <= b37) \
+                and min_degree_at_least(adj, x, h):
+            t32.feed(size, x)
             t35.feed(size + cut, x)
-        if t37 is not None:
             y = full ^ x
-            # a vertex of degree < h fits on neither side; otherwise only the
-            # complement vertices adjacent to X can have dropped below h
-            if y and all_deg_ok and keeps_degree(adj, nbhd & y, y, h):
+            if y and min_degree_at_least(adj, y, h):
                 t37.feed(cut, x)
-
-    out = {LEMMA_32: LemmaVerdict(LEMMA_32, graph_id, h, t32.holds,
-                                  t32.counterexample, subsets, t32.tight)}
-    if t35 is not None:
-        out[LEMMA_35] = LemmaVerdict(LEMMA_35, graph_id, h, t35.holds,
-                                     t35.counterexample, subsets, t35.tight)
-    if t37 is not None:
-        out[LEMMA_37] = LemmaVerdict(LEMMA_37, graph_id, h, t37.holds,
-                                     t37.counterexample, subsets, t37.tight)
-    return out
+    return {lemma: LemmaVerdict(lemma, graph_id, h, t.holds, t.counterexample,
+                                full, t.tight)
+            for lemma, t in ((LEMMA_32, t32), (LEMMA_35, t35), (LEMMA_37, t37))}
 
 
 def _require_level(h: int, top: int, what: str) -> None:
@@ -136,23 +103,20 @@ def _require_level(h: int, top: int, what: str) -> None:
 def check_lemma_32(hl: HlGraph, h: int, override_gate: bool = False) -> LemmaVerdict:
     """Every subset with min induced degree >= h has at least 2^h vertices."""
     _require_level(h, hl.n, "size bound")
-    return _scan_bounds(hl.graph, hl.n, h, hl.label, False, False,
-                        override_gate)[LEMMA_32]
+    return _scan_bounds(hl.graph, hl.n, h, hl.label, override_gate)[LEMMA_32]
 
 
 def check_lemma_35(hl: HlGraph, h: int, override_gate: bool = False) -> LemmaVerdict:
     """|X| + |boundary(X)| >= 2^h(n+1-h) for subsets with min degree >= h."""
     _require_level(h, hl.n - 1, "size-plus-boundary bound")
-    return _scan_bounds(hl.graph, hl.n, h, hl.label, True, False,
-                        override_gate)[LEMMA_35]
+    return _scan_bounds(hl.graph, hl.n, h, hl.label, override_gate)[LEMMA_35]
 
 
 def check_lemma_37(hl: HlGraph, h: int, override_gate: bool = False) -> LemmaVerdict:
     """|boundary(X)| >= 2^h(n-h) when both X and its complement keep min
     degree >= h."""
     _require_level(h, hl.n - 1, "boundary bound")
-    return _scan_bounds(hl.graph, hl.n, h, hl.label, False, True,
-                        override_gate)[LEMMA_37]
+    return _scan_bounds(hl.graph, hl.n, h, hl.label, override_gate)[LEMMA_37]
 
 
 def check_bound_lemmas(hl: HlGraph, h: int,
@@ -160,9 +124,10 @@ def check_bound_lemmas(hl: HlGraph, h: int,
     """All applicable subset bounds at (graph, h) in a single shared scan:
     L3.2 for h <= n, plus L3.5 and L3.7 for h <= n-1."""
     _require_level(h, hl.n, "bound")
-    within = h <= hl.n - 1
-    return _scan_bounds(hl.graph, hl.n, h, hl.label, within, within,
-                        override_gate)
+    verdicts = _scan_bounds(hl.graph, hl.n, h, hl.label, override_gate)
+    if h == hl.n:
+        return {LEMMA_32: verdicts[LEMMA_32]}
+    return verdicts
 
 
 def check_theorem(hl: HlGraph, h: int, method: str = EXHAUSTIVE,

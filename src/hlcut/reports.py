@@ -64,10 +64,12 @@ def parse_report(line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise UsageError(f"report line is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError("report line nests deeper than any report") from None
     if not isinstance(obj, dict) or "report" not in obj:
         raise UsageError("report line lacks a 'report' discriminator")
     kind = obj["report"]
-    if kind not in _REQUIRED_KEYS:
+    if not isinstance(kind, str) or kind not in _REQUIRED_KEYS:
         raise UsageError(f"unknown report kind {kind!r}")
     if tuple(obj.keys()) != _REQUIRED_KEYS[kind]:
         raise UsageError(

@@ -59,6 +59,28 @@ def reference_vertex_cut(order: int, edges, removed, h: int) -> bool:
     return len(seen) < len(alive)
 
 
+def reference_min_cut(order: int, edges, h: int):
+    """Plain loop over every side X without vertex 0, on adjacency sets:
+    (value, side mask) of the fewest edges leaving an X where every vertex
+    keeps at least h neighbours on its own side, the smallest mask among
+    equal values; (None, None) when no X qualifies."""
+    adj = {v: set() for v in range(order)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = (None, None)
+    for mask in range(2, 1 << order, 2):  # ascending, so ties keep the first
+        side = {v for v in range(order) if mask >> v & 1}
+        rest = set(range(order)) - side
+        if any(len(adj[v] & side) < h for v in side) \
+                or any(len(adj[v] & rest) < h for v in rest):
+            continue
+        value = sum(len(adj[v] & rest) for v in side)
+        if best[0] is None or value < best[0]:
+            best = (value, mask)
+    return best
+
+
 def random_simple_graph(rng: random.Random, order: int, p: float = 0.45) -> Graph:
     edges = [(u, v) for u in range(order) for v in range(u + 1, order)
              if rng.random() < p]

@@ -14,7 +14,7 @@ from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport,
 from hlcut import cuts
 from hlcut.graph import Graph
 
-from conftest import hl_members, small_graphs
+from conftest import hl_members, reference_min_cut, small_graphs
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -181,6 +181,16 @@ def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
         else:
             assert (report.value, report.witness_side) == \
                 (oracle.value, oracle.witness_side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs().filter(Graph.is_connected))
+def test_exhaustive_matches_reference_min_cut(g):
+    for h in range(min(a.bit_count() for a in g.adj) + 2):
+        report = lambda_sh_exact(g, h, method=EXHAUSTIVE)
+        found = (None, None) if isinstance(report, Nonexistent) \
+            else (report.value, report.witness_side)
+        assert found == reference_min_cut(g.order, g.edges(), h)
 
 
 def test_branch_and_bound_node_count_on_q5():

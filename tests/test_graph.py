@@ -7,9 +7,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcut import Graph, UsageError, graph_from_text, graph_to_text, hypercube, mask_of
-from hlcut.graph import MAX_ORDER
+from hlcut.graph import MAX_ORDER, boundary_walk
 
 from conftest import random_simple_graph, reference_connected, small_graphs
 
@@ -134,6 +135,19 @@ def test_min_degree_plus_max_boundary_within_max_degree(g):
         (g.adj[v] & ~x).bit_count()
         for v in range(g.order) if x >> v & 1)
     assert g.induced_min_degree(x) + worst_boundary <= g.max_degree()
+
+
+@settings(max_examples=60)
+@given(small_graphs(), st.sampled_from([0, 1]))
+def test_boundary_walk_visits_each_subset_once(g, first):
+    seen = set()
+    for x, size, cut in boundary_walk(g.adj, first):
+        assert x not in seen
+        seen.add(x)
+        assert size == x.bit_count()
+        assert cut == len(g.edge_boundary(x))
+    span = g.vertex_mask >> first << first
+    assert seen == {x for x in range(1, span + 1) if x & span == x}
 
 
 def test_connectivity_agrees_with_reference_bfs():

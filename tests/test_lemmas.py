@@ -152,10 +152,10 @@ def test_level_out_of_range_rejected(q4):
 
 def test_star_violates_boundary_bound():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    verdicts = _scan_bounds(star, 2, 0, "star", want35=True, want37=True)
+    verdicts = _scan_bounds(star, 2, 0, "star")
     v37 = verdicts[LEMMA_37]
     assert not v37.holds
-    assert v37.counterexample == mask_of([1])  # first violator in scan order
+    assert v37.counterexample == mask_of([1])  # the smallest violating mask
     assert len(star.edge_boundary(v37.counterexample)) < (1 << 0) * 2
     v35 = verdicts[LEMMA_35]
     assert not v35.holds
@@ -194,7 +194,7 @@ def test_scan_bounds_matches_brute_force(g):
     # regular family never does
     n = g.max_degree()
     for h in range(n + 2):
-        verdicts = _scan_bounds(g, n, h, "g", want35=True, want37=True)
+        verdicts = _scan_bounds(g, n, h, "g")
         expected = _brute_force_bounds(g, n, h)
         for k, v in verdicts.items():
             assert (v.holds, v.counterexample, v.tight_witnesses) == expected[k]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hlcut import (UsageError, check_lemma_32, dumps_report, hypercube,
-                   kappa_sh_exact, lambda_sh_exact, parse_report,
-                   parse_report_lines)
+from hlcut import (UsageError, check_lemma_32, dumps_report, graph_from_text,
+                   hypercube, kappa_sh_exact, lambda_sh_exact, parse_report,
+                   parse_report_lines, trace_from_text)
 
 
 def test_cut_report_line(q3):
@@ -51,10 +53,34 @@ def test_parse_many_lines(q3):
     '{"h":1}\n',
     '{"report":"weird","h":1}\n',
     '{"report":"cut","h":1}\n',
+    '{"report":[]}',
+    '{"report":{}}',
+    pytest.param("[" * 100_000, id="deep-nesting"),
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(UsageError):
         parse_report(bad)
+
+
+# keys of the report and trace schemas, so random objects reach past the
+# first checks of each parser
+_KEYS = st.sampled_from(["report", "cut", "lemma", "kappa", "h", "value",
+                         "leaf", "left", "right", "sigma"]) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _KEYS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="0123456789 -x\n") | _JSON.map(json.dumps))
+def test_parsers_return_or_raise_usage_error(text):
+    for parse in (parse_report, trace_from_text, graph_from_text):
+        try:
+            parse(text)
+        except UsageError:
+            pass
 
 
 def test_volatile_fields_stay_out_of_the_wire_format(q3):
