@@ -5,10 +5,10 @@ bound chain behind the closed form, and decide the vertex-variant's
 existence by complete scan."""
 
 from .build import (FIG1_EDGES, FIG1_RELABEL, FIG1_TRACE, HlGraph, Leaf, Node,
-                    block_vertices, edge_level, fig1_graph, from_trace,
-                    hypercube, identity_matching, oplus, random_hl,
-                    read_trace, realize, trace_from_text, trace_to_text,
-                    validate_trace, write_trace)
+                    block_vertices, fig1_graph, from_trace, hypercube,
+                    identity_matching, random_hl, read_trace, realize,
+                    trace_from_text, trace_to_text, validate_trace,
+                    write_trace)
 from .cuts import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport, Nonexistent,
                    canonical_cut, is_h_edge_cut, lambda_sh_exact)
 from .errors import IncompleteSearchError, TraceError, UsageError
@@ -18,8 +18,7 @@ from .graph import (Graph, MAX_ORDER, SOLVER_GATE, canonical_edge,
 from .kappa import KappaReport, is_h_vertex_cut, kappa_sh_exact, subsets_of_size
 from .lemmas import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, LemmaVerdict,
                      check_bound_lemmas, check_lemma_32, check_lemma_35,
-                     check_lemma_37, check_theorem,
-                     enumerate_min_degree_subsets)
+                     check_lemma_37, check_theorem)
 from .reports import (dumps_report, parse_report, parse_report_lines,
                       report_payload, write_reports)
 

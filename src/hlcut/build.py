@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import json
 
 from .errors import TraceError, UsageError
-from .graph import Graph, MAX_ORDER, canonical_edge, mask_of
+from .graph import Graph, MAX_ORDER, mask_of
 
 MASK64 = (1 << 64) - 1
 
@@ -101,21 +101,6 @@ def validate_trace(trace: Trace) -> Graph:
     return g
 
 
-def oplus(g0: Graph, g1: Graph, sigma: tuple[int, ...] | list[int]) -> Graph:
-    """Join two equal-order graphs by the perfect matching induced by the
-    bijection sigma; the right block is relabeled with offset |g0|."""
-    if g0.order != g1.order:
-        raise UsageError(f"order mismatch: {g0.order} vs {g1.order}")
-    sigma = tuple(sigma)
-    if len(sigma) != g0.order or sorted(sigma) != list(range(g0.order)):
-        raise UsageError("sigma is not a bijection on the block")
-    k = g0.order
-    edges = g0.edges()
-    edges += [(u + k, v + k) for u, v in g1.edges()]
-    edges += [(i, k + sigma[i]) for i in range(k)]
-    return Graph.from_edges(2 * k, edges)
-
-
 @dataclass(frozen=True)
 class HlGraph:
     """A hypercube-like graph together with the trace witnessing membership.
@@ -133,21 +118,12 @@ class HlGraph:
     label: str
 
 
-def relabel_graph(g: Graph, perm: tuple[int, ...]) -> Graph:
-    """Copy of g with vertex v renamed perm[v]."""
-    return Graph.from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def _identity_relabel(order: int) -> tuple[int, ...]:
-    return tuple(range(order))
-
-
 def from_trace(trace: Trace, label: str | None = None) -> HlGraph:
     """Build an HlGraph from an explicit trace (the entry point for custom
     matchings, e.g. the twisted cube variants)."""
     g = validate_trace(trace)
     n = trace_depth(trace)
-    return HlGraph(g, trace, n, _identity_relabel(g.order),
+    return HlGraph(g, trace, n, identity_matching(g.order),
                    label if label is not None else f"HL{n}")
 
 
@@ -165,7 +141,7 @@ def hypercube(n: int) -> HlGraph:
     t: Trace = LEAF
     for k in range(1, n + 1):
         t = Node(t, t, identity_matching(1 << (k - 1)))
-    return HlGraph(realize(t), t, n, _identity_relabel(1 << n), f"Q{n}")
+    return HlGraph(realize(t), t, n, identity_matching(1 << n), f"Q{n}")
 
 
 # -- seeded random members ---------------------------------------------------
@@ -225,10 +201,10 @@ def random_hl(n: int, seed: int) -> HlGraph:
     _check_dimension(n)
     seed &= MASK64
     t = _random_trace(n, seed, "")
-    return HlGraph(realize(t), t, n, _identity_relabel(1 << n), f"HL{n}[seed={seed}]")
+    return HlGraph(realize(t), t, n, identity_matching(1 << n), f"HL{n}[seed={seed}]")
 
 
-# -- embedded blocks and edge levels -----------------------------------------
+# -- embedded blocks ----------------------------------------------------------
 
 def block_vertices(hl: HlGraph, h: int) -> int:
     """Vertex mask of the leftmost depth-(n-h) block; its induced subgraph is
@@ -236,27 +212,6 @@ def block_vertices(hl: HlGraph, h: int) -> int:
     if not 0 <= h <= hl.n:
         raise UsageError(f"block level {h} outside 0..{hl.n}")
     return mask_of(hl.relabel[i] for i in range(1 << h))
-
-
-def left_descendant(trace: Trace, depth: int) -> Trace:
-    t = trace
-    for _ in range(depth):
-        if not isinstance(t, Node):
-            raise UsageError("trace too shallow for requested block")
-        t = t.left
-    return t
-
-
-def edge_level(hl: HlGraph, e: tuple[int, int]) -> int:
-    """The unique recursion level whose matching contains the edge: under
-    canonical labels that is bit_length(u xor v)."""
-    u, v = canonical_edge(*e)
-    if not hl.graph.has_edge(u, v):
-        raise UsageError(f"({u},{v}) is not an edge of the graph")
-    inv = [0] * len(hl.relabel)
-    for canon, pub in enumerate(hl.relabel):
-        inv[pub] = canon
-    return (inv[u] ^ inv[v]).bit_length()
 
 
 # -- the figure fixture -------------------------------------------------------

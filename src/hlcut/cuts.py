@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
 from .graph import (Edge, Graph, boundary_walk, check_gate, connected_within,
-                    keeps_degree, min_degree_at_least)
+                    keeps_degree)
 
 EXHAUSTIVE = "exhaustive"
 BRANCH_AND_BOUND = "branch-and-bound"
@@ -91,8 +91,8 @@ def _exhaustive(adj, order, h, deadline):
                 and monotonic() > deadline:
             raise IncompleteSearchError(h, best, best_mask, examined, 0.0)
         if (best is None or cut < best or (cut == best and x < best_mask)) \
-                and min_degree_at_least(adj, x, h) \
-                and min_degree_at_least(adj, full ^ x, h):
+                and keeps_degree(adj, x, x, h) \
+                and keeps_degree(adj, full ^ x, full ^ x, h):
             best, best_mask = cut, x
     return best, best_mask, examined
 
@@ -204,7 +204,7 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
         if cut >= limit:
             continue
         if i == depth:
-            if x and min_degree_at_least(adj, x, h) and min_degree_at_least(adj, y, h):
+            if x and keeps_degree(adj, x, x, h) and keeps_degree(adj, y, y, h):
                 best = limit = cut
                 best_side = x
                 if cut <= floor:
@@ -249,6 +249,9 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
     the best incumbent."""
     if h < 0:
         raise UsageError(f"negative level {h}")
+    if budget is not None and not budget >= 0:  # also rejects NaN
+        raise UsageError(f"budget must be a nonnegative number of seconds, "
+                         f"got {budget}")
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == EXHAUSTIVE:

@@ -41,23 +41,13 @@ def check_gate(order: int, override_gate: bool) -> None:
             f"(pass the override flag to force a 2^{order} scan)")
 
 
-def min_degree_at_least(adj: tuple[int, ...] | list[int], mask: int, h: int) -> bool:
-    """True iff every vertex of `mask` has at least h neighbors inside `mask`."""
-    if h <= 0:
-        return True
-    t = mask
-    while t:
-        b = t & -t
-        if (adj[b.bit_length() - 1] & mask).bit_count() < h:
-            return False
-        t ^= b
-    return True
-
-
 def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
                  h: int) -> bool:
     """True iff every vertex of `vertices` has at least h neighbors in
-    `within`. Searches pass only the vertices whose count may have dropped."""
+    `within`; keeps_degree(adj, m, m, h) says that m induces min degree >= h.
+    Searches pass only the vertices whose count may have dropped."""
+    if h <= 0:
+        return True
     t = vertices
     while t:
         b = t & -t
@@ -189,30 +179,9 @@ class Graph:
             raise UsageError(f"vertex {v} outside 0..{self.order - 1}")
         return self.adj[v].bit_count()
 
-    def max_degree(self) -> int:
-        return max((a.bit_count() for a in self.adj), default=0)
-
     def _check_vertex_set(self, x: int) -> None:
         if x < 0 or x & ~self.vertex_mask:
             raise UsageError("vertex set outside the graph's vertex range")
-
-    def induced_min_degree(self, x: int) -> int:
-        """Minimum degree of the subgraph induced by the vertex set `x`."""
-        self._check_vertex_set(x)
-        if x == 0:
-            raise UsageError("induced minimum degree of the empty set is undefined")
-        adj = self.adj
-        best = self.order
-        t = x
-        while t:
-            b = t & -t
-            d = (adj[b.bit_length() - 1] & x).bit_count()
-            if d < best:
-                best = d
-                if best == 0:
-                    break
-            t ^= b
-        return best
 
     def edge_boundary(self, x: int) -> tuple[Edge, ...]:
         """Edges with exactly one endpoint in `x`, sorted ascending."""
@@ -230,17 +199,6 @@ class Graph:
             t ^= b
         out.sort()
         return tuple(out)
-
-    def boundary_size(self, x: int) -> int:
-        self._check_vertex_set(x)
-        y = self.vertex_mask ^ x
-        c = 0
-        t = x
-        while t:
-            b = t & -t
-            c += (self.adj[b.bit_length() - 1] & y).bit_count()
-            t ^= b
-        return c
 
     def _check_edges(self, edges: Iterable[tuple[int, int]]) -> list[Edge]:
         out = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UsageError
-from .graph import Graph, check_gate, connected_within, min_degree_at_least
+from .graph import Graph, check_gate, connected_within, keeps_degree
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def is_h_vertex_cut(g: Graph, s: int, h: int) -> bool:
     if rest.bit_count() < 2:
         raise UsageError("removal must leave at least two vertices")
     adj = g.adj
-    if not min_degree_at_least(adj, rest, h):
+    if not keeps_degree(adj, rest, rest, h):
         return False
     return not connected_within(adj, rest)
 
@@ -75,7 +75,7 @@ def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport
         for s in subsets_of_size(g.order, size):
             checked += 1
             rest = full ^ s
-            if h and not min_degree_at_least(adj, rest, h):
+            if not keeps_degree(adj, rest, rest, h):
                 continue
             if connected_within(adj, rest):
                 continue

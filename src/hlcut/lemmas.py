@@ -17,12 +17,11 @@ a bound are tested for minimum degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .build import HlGraph
 from .cuts import EXHAUSTIVE, CutReport, lambda_sh_exact
 from .errors import UsageError
-from .graph import Graph, boundary_walk, check_gate, min_degree_at_least
+from .graph import Graph, boundary_walk, check_gate, keeps_degree
 
 LEMMA_32 = "L3.2"
 LEMMA_35 = "L3.5"
@@ -39,18 +38,6 @@ class LemmaVerdict:
     counterexample: int | None  # smallest mask of a violating subset
     subsets_checked: int
     tight_witnesses: int  # subsets meeting the bound with equality
-
-
-def enumerate_min_degree_subsets(g: Graph, h: int,
-                                 override_gate: bool = False) -> Iterator[int]:
-    """All nonempty vertex masks X with min degree >= h inside X, ascending."""
-    if h < 0:
-        raise UsageError(f"negative level {h}")
-    check_gate(g.order, override_gate)
-    adj = g.adj
-    for x in range(1, 1 << g.order):
-        if min_degree_at_least(adj, x, h):
-            yield x
 
 
 class _Tally:
@@ -84,11 +71,11 @@ def _scan_bounds(g: Graph, n: int, h: int, graph_id: str,
     t32, t35, t37 = _Tally(b32), _Tally(b35), _Tally(b37)
     for x, size, cut in boundary_walk(adj):
         if (size <= b32 or size + cut <= b35 or cut <= b37) \
-                and min_degree_at_least(adj, x, h):
+                and keeps_degree(adj, x, x, h):
             t32.feed(size, x)
             t35.feed(size + cut, x)
             y = full ^ x
-            if y and min_degree_at_least(adj, y, h):
+            if y and keeps_degree(adj, y, y, h):
                 t37.feed(cut, x)
     return {lemma: LemmaVerdict(lemma, graph_id, h, t.holds, t.counterexample,
                                 full, t.tight)

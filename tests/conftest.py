@@ -59,15 +59,46 @@ def reference_vertex_cut(order: int, edges, removed, h: int) -> bool:
     return len(seen) < len(alive)
 
 
+def reference_adjacency(order: int, edges) -> dict[int, set[int]]:
+    """Vertex -> set of its neighbours."""
+    adj = {v: set() for v in range(order)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reference_induced_min_degree(order: int, edges, mask: int) -> int:
+    """Fewest neighbours inside the nonempty vertex set `mask` of any of its
+    vertices, counted on adjacency sets."""
+    adj = reference_adjacency(order, edges)
+    side = {v for v in range(order) if mask >> v & 1}
+    return min(len(adj[v] & side) for v in side)
+
+
+def reference_boundary_size(edges, mask: int) -> int:
+    """Edges with exactly one endpoint in `mask`."""
+    return sum((mask >> u & 1) != (mask >> v & 1) for u, v in edges)
+
+
+def reference_min_degree_subsets(order: int, edges, h: int) -> list[int]:
+    """Every nonempty vertex mask X in which each vertex keeps at least h
+    neighbours inside X, ascending."""
+    adj = reference_adjacency(order, edges)
+    out = []
+    for mask in range(1, 1 << order):
+        side = {v for v in range(order) if mask >> v & 1}
+        if all(len(adj[v] & side) >= h for v in side):
+            out.append(mask)
+    return out
+
+
 def reference_min_cut(order: int, edges, h: int):
     """Plain loop over every side X without vertex 0, on adjacency sets:
     (value, side mask) of the fewest edges leaving an X where every vertex
     keeps at least h neighbours on its own side, the smallest mask among
     equal values; (None, None) when no X qualifies."""
-    adj = {v: set() for v in range(order)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = reference_adjacency(order, edges)
     best = (None, None)
     for mask in range(2, 1 << order, 2):  # ascending, so ties keep the first
         side = {v for v in range(order) if mask >> v & 1}
@@ -115,6 +146,18 @@ def hl_members(draw, max_n: int = 5) -> HlGraph:
     n = draw(st.integers(min_value=0, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_hl(n, seed)
+
+
+# keys of the report and trace schemas, so random objects reach past the
+# first checks of each parser
+_SCHEMA_KEYS = st.sampled_from(["report", "cut", "lemma", "kappa", "h",
+                                "value", "leaf", "left", "right",
+                                "sigma"]) | st.text(max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _SCHEMA_KEYS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_SCHEMA_KEYS, inner, max_size=4)),
+    max_leaves=12)
 
 
 # -- common fixtures -----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Construction: the join operation, traces, canonical and random members,
-embedded blocks, edge levels, and the figure fixture."""
+"""Construction: the join realized from traces, canonical and random
+members, embedded blocks, edge levels, and the figure fixture."""
 
 from __future__ import annotations
 
@@ -9,56 +9,55 @@ import pytest
 from hypothesis import given, settings
 
 from hlcut import (FIG1_EDGES, TraceError, UsageError, block_vertices,
-                   edge_level, fig1_graph, from_trace, hypercube, mask_of,
-                   oplus, random_hl, realize, trace_from_text, trace_to_text,
-                   validate_trace)
-from hlcut.build import (LEAF, MAX_DIMENSION, Leaf, Node, SplitMix64,
-                         fnv1a64, left_descendant, relabel_graph)
+                   fig1_graph, from_trace, hypercube, mask_of, random_hl,
+                   realize, trace_from_text, trace_to_text, validate_trace)
+from hlcut.build import LEAF, MAX_DIMENSION, Leaf, Node, SplitMix64, fnv1a64
 
-from conftest import hl_members, left_deep_trace_text, right_deep_trace_text
+from conftest import (hl_members, left_deep_trace_text,
+                      reference_induced_min_degree, right_deep_trace_text)
 
 
-# -- oplus ----------------------------------------------------------------------
+# -- the join, as realized from a trace node -----------------------------------
 
 def test_oplus_two_singletons_is_an_edge():
-    k1 = hypercube(0).graph
-    g = oplus(k1, k1, (0,))
+    g = realize(Node(LEAF, LEAF, (0,)))
     assert g.order == 2 and g.edges() == [(0, 1)]
 
 
 def test_oplus_identity_on_edges_is_a_square():
-    k2 = hypercube(1).graph
-    g = oplus(k2, k2, (0, 1))
+    k2 = hypercube(1).trace
+    g = realize(Node(k2, k2, (0, 1)))
     assert g.order == 4 and g.num_edges == 4
     assert all(g.degree(v) == 2 for v in range(4))
     assert g.is_connected()
 
 
 def test_oplus_reversed_matching_on_squares():
-    q2 = hypercube(2).graph
-    g = oplus(q2, q2, (3, 2, 1, 0))
+    q2 = hypercube(2).trace
+    g = realize(Node(q2, q2, (3, 2, 1, 0)))
     assert g.order == 8 and all(g.degree(v) == 3 for v in range(8))
     assert g.is_connected()
 
 
 def test_oplus_added_edges_form_perfect_matching():
-    q2 = hypercube(2).graph
+    q2 = hypercube(2).trace
     for sigma in [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)]:
-        g = oplus(q2, q2, sigma)
+        g = realize(Node(q2, q2, sigma))
         cross = [e for e in g.edges() if (e[0] < 4) != (e[1] < 4)]
-        covered = [v for e in cross for v in e]
-        assert len(cross) == 4 and sorted(covered) == list(range(8))
+        assert sorted(cross) == [(i, 4 + sigma[i]) for i in range(4)]
 
 
 def test_oplus_rejects_order_mismatch():
-    with pytest.raises(UsageError):
-        oplus(hypercube(1).graph, hypercube(2).graph, (0, 1))
+    with pytest.raises(TraceError) as err:
+        realize(Node(hypercube(1).trace, hypercube(2).trace, (0, 1)))
+    assert "unbalanced" in str(err.value) and err.value.path == ""
 
 
 def test_oplus_rejects_non_bijection():
-    k2 = hypercube(1).graph
-    with pytest.raises(UsageError):
-        oplus(k2, k2, (0, 0))
+    k2 = hypercube(1).trace
+    with pytest.raises(TraceError) as err:
+        realize(Node(k2, k2, (0, 0)))
+    assert "bijection" in str(err.value) and err.value.path == ""
 
 
 # -- hypercube -------------------------------------------------------------------
@@ -230,7 +229,8 @@ def test_from_trace_entry_point_for_custom_matchings():
 def test_block_vertices_square_block(q4):
     block = block_vertices(q4, 2)
     assert block == mask_of([0, 1, 2, 3])
-    assert q4.graph.induced_min_degree(block) == 2  # a 4-cycle
+    # a 4-cycle
+    assert reference_induced_min_degree(16, q4.graph.edges(), block) == 2
 
 
 def test_block_vertices_extremes(q4, fig1):
@@ -249,20 +249,13 @@ def test_block_out_of_range(q4):
 def test_block_induces_left_descendant(hl):
     for h in range(hl.n + 1):
         block = block_vertices(hl, h)
-        sub = realize(left_descendant(hl.trace, hl.n - h))
+        t = hl.trace
+        for _ in range(hl.n - h):  # down the left spine
+            t = t.left
+        sub = realize(t)
         induced = [(u, v) for u, v in hl.graph.edges()
                    if block >> u & 1 and block >> v & 1]
         assert sorted(induced) == sub.edges()
-
-
-def test_edge_level_top_and_bottom(q3):
-    assert edge_level(q3, (0, 4)) == 3
-    assert edge_level(q3, (0, 1)) == 1
-
-
-def test_edge_level_rejects_non_edge(q3):
-    with pytest.raises(UsageError):
-        edge_level(q3, (0, 3))
 
 
 @settings(max_examples=25)
@@ -270,7 +263,8 @@ def test_edge_level_rejects_non_edge(q3):
 def test_edge_levels_partition_into_equal_matchings(hl):
     if hl.n == 0:
         return
-    counts = Counter(edge_level(hl, e) for e in hl.graph.edges())
+    # under canonical labels an edge's level is bit_length(u xor v)
+    counts = Counter((u ^ v).bit_length() for u, v in hl.graph.edges())
     assert set(counts) == set(range(1, hl.n + 1))
     assert all(c == 1 << (hl.n - 1) for c in counts.values())
 
@@ -290,11 +284,14 @@ def test_fig1_exact_edge_set(fig1):
 
 def test_fig1_trace_realizes_the_fixture(fig1):
     canonical = validate_trace(fig1.trace)
-    assert relabel_graph(canonical, fig1.relabel) == fig1.graph
+    perm = fig1.relabel
+    renamed = {tuple(sorted((perm[u], perm[v]))) for u, v in canonical.edges()}
+    assert renamed == {tuple(sorted(e)) for e in FIG1_EDGES}
 
 
 def test_fig1_blocks_are_the_figure_halves(fig1):
     assert block_vertices(fig1, 3) == mask_of([0, 1, 2, 3, 8, 9, 10, 11])
     assert block_vertices(fig1, 2) == mask_of([0, 1, 2, 3])
     # each half induces a 3-regular member
-    assert fig1.graph.induced_min_degree(block_vertices(fig1, 3)) == 3
+    half = block_vertices(fig1, 3)
+    assert reference_induced_min_degree(16, fig1.graph.edges(), half) == 3

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcut import (fig1_graph, graph_to_text, hypercube, parse_report_lines,
-                   random_hl, read_graph, read_trace, realize, write_graph)
+                   random_hl, read_graph, read_trace, realize, trace_to_text,
+                   write_graph)
 from hlcut import cli
 from hlcut.cli import main
 from hlcut.graph import MAX_ORDER
 
-from conftest import left_deep_trace_text, right_deep_trace_text
+from conftest import json_values, left_deep_trace_text, right_deep_trace_text
 
 
 def run(*argv):
@@ -159,6 +164,15 @@ def test_solve_budget_exhaustion_exit_code(tmp_path):
                "--method", "branch-and-bound") == 3
 
 
+@pytest.mark.parametrize("budget", ["nan", "-5"])
+def test_solve_rejects_a_bad_budget(tmp_path, capsys, budget):
+    path = tmp_path / "q6.graph"
+    write_graph(path, hypercube(6).graph)
+    assert run("solve", "--graph", path, "--h", "all", "--budget", budget,
+               "--method", "branch-and-bound") == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_internal_error_exits_4(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -193,6 +207,13 @@ def test_verify_equality_all_levels_fig1(tmp_path, capsys):
     assert run("verify", "--lemma", "thm", "--trace", trace, "--h", "all") == 0
     out = capsys.readouterr().out
     assert out.count("holds") == 4
+
+
+@pytest.mark.parametrize("budget", ["nan", "-5"])
+def test_verify_theorem_rejects_a_bad_budget(q4_trace, capsys, budget):
+    assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
+               "--budget", budget) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_verify_level_out_of_range(q4_trace):
@@ -259,3 +280,38 @@ def test_kappa_square_level1_nonexistent(tmp_path, capsys):
 
 def test_kappa_rejects_all(fig1_file):
     assert run("kappa", "--graph", fig1_file, "--h", "all") == 2
+
+
+# -- exit codes on fuzzed input files ---------------------------------------------
+
+# small members only, so a mutation that still parses costs a 2^8 scan
+_CANONICAL = [graph_to_text(hl.graph) for hl in (hypercube(2), hypercube(3),
+                                                 random_hl(3, 5))] \
+    + [trace_to_text(hl.trace) for hl in (hypercube(3), random_hl(3, 5))]
+
+
+@st.composite
+def _mutated(draw) -> str:
+    """A canonical graph or trace text with up to three characters replaced,
+    inserted or deleted."""
+    text = draw(st.sampled_from(_CANONICAL))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from("0123456789 \n,[]{}:\"-x"))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + (c if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text() | _mutated() | json_values.map(json.dumps))
+def test_fuzzed_files_never_exit_4(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.input"
+    path.write_text(text, newline="")
+    for argv in (("solve", "--graph", path, "--h", 0),
+                 ("kappa", "--graph", path, "--h", 1),
+                 ("verify", "--lemma", "3.2", "--trace", path, "--h", 0)):
+        assert run(*argv) in (0, 1, 2, 3), (argv[0], text)

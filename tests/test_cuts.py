@@ -360,6 +360,21 @@ def test_unknown_method_rejected(q3):
         lambda_sh_exact(q3.graph, 1, method="guess")
 
 
+@pytest.mark.parametrize("method", [EXHAUSTIVE, BRANCH_AND_BOUND])
+@pytest.mark.parametrize("budget", [float("nan"), -5.0, -1e-9])
+def test_budget_must_be_a_nonnegative_number(method, budget):
+    # checked before the gate and before any search: a NaN deadline never
+    # expires, and a negative one expires at the first deadline check
+    with pytest.raises(UsageError, match="budget"):
+        lambda_sh_exact(hypercube(6).graph, 3, method=method, budget=budget)
+
+
+def test_zero_and_infinite_budgets_accepted(q3):
+    # Q3 takes fewer nodes than the first deadline check
+    for budget in (0.0, float("inf")):
+        assert lambda_sh_exact(q3.graph, 1, budget=budget).value == 4
+
+
 def test_budget_exhaustion_raises_incomplete():
     # h=3 completes in about 1 s and ~54k nodes, far past the 0.02 s
     # budget; the incumbent arrives long before the first deadline check,

@@ -1,5 +1,5 @@
-"""Core graph primitives: degrees, induced degrees, boundaries, connectivity,
-and the canonical text format."""
+"""Core graph primitives: degrees, the degree predicate, boundaries,
+connectivity, and the canonical text format."""
 
 from __future__ import annotations
 
@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlcut import Graph, UsageError, graph_from_text, graph_to_text, hypercube, mask_of
-from hlcut.graph import MAX_ORDER, boundary_walk
+from hlcut.graph import MAX_ORDER, boundary_walk, keeps_degree
 
-from conftest import random_simple_graph, reference_connected, small_graphs
+from conftest import (random_simple_graph, reference_adjacency,
+                      reference_connected, reference_induced_min_degree,
+                      small_graphs)
 
 
 def test_degree_hypercube(q3):
@@ -35,23 +37,42 @@ def test_degree_out_of_range(q3):
 
 
 def test_induced_min_degree_whole_graph(q3):
-    assert q3.graph.induced_min_degree(q3.graph.vertex_mask) == 3
+    adj, full = q3.graph.adj, q3.graph.vertex_mask
+    assert keeps_degree(adj, full, full, 3)
+    assert not keeps_degree(adj, full, full, 4)
 
 
 def test_induced_min_degree_singleton(q3):
-    assert q3.graph.induced_min_degree(1) == 0
+    assert keeps_degree(q3.graph.adj, 1, 1, 0)
+    assert not keeps_degree(q3.graph.adj, 1, 1, 1)
 
 
 def test_induced_min_degree_three_of_cycle(q2):
     # any 3 vertices of a 4-cycle induce a path
     full = q2.graph.vertex_mask
     for v in range(4):
-        assert q2.graph.induced_min_degree(full ^ (1 << v)) == 1
+        m = full ^ (1 << v)
+        assert keeps_degree(q2.graph.adj, m, m, 1)
+        assert not keeps_degree(q2.graph.adj, m, m, 2)
 
 
-def test_induced_min_degree_empty_rejected(q3):
-    with pytest.raises(UsageError):
-        q3.graph.induced_min_degree(0)
+@settings(max_examples=150)
+@given(small_graphs(), st.data())
+def test_keeps_degree_matches_plain_count(g, data):
+    masks = st.just(0) | st.integers(0, g.vertex_mask)
+    vertices = data.draw(masks)
+    # searches also pass a complement, which is a negative int
+    within = data.draw(masks | masks.map(lambda m: ~m))
+    top = max(g.degree(v) for v in range(g.order))
+    h = data.draw(st.integers(-1, top + 1))
+    adj = reference_adjacency(g.order, g.edges())
+    inside = {v for v in range(g.order) if within >> v & 1}
+    expected = all(len(adj[v] & inside) >= h
+                   for v in range(g.order) if vertices >> v & 1)
+    got = keeps_degree(g.adj, vertices, within, h)
+    assert got == expected
+    if h <= 0:
+        assert got is True
 
 
 def test_edge_boundary_singleton(q3):
@@ -134,7 +155,9 @@ def test_min_degree_plus_max_boundary_within_max_degree(g):
     worst_boundary = max(
         (g.adj[v] & ~x).bit_count()
         for v in range(g.order) if x >> v & 1)
-    assert g.induced_min_degree(x) + worst_boundary <= g.max_degree()
+    top = max(g.degree(v) for v in range(g.order))
+    assert reference_induced_min_degree(g.order, g.edges(), x) \
+        + worst_boundary <= top
 
 
 @settings(max_examples=60)

@@ -9,35 +9,31 @@ from hypothesis import given, settings
 
 from hlcut import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, UsageError,
                    block_vertices, check_bound_lemmas, check_lemma_32,
-                   check_lemma_35, check_lemma_37, check_theorem,
-                   enumerate_min_degree_subsets, hypercube, lambda_sh_exact,
-                   mask_of, random_hl, realize)
-from hlcut.build import left_descendant
+                   check_lemma_35, check_lemma_37, check_theorem, hypercube,
+                   lambda_sh_exact, mask_of, random_hl, realize)
 from hlcut.graph import Graph
 from hlcut.lemmas import _scan_bounds
 
-from conftest import small_graphs
+from conftest import (reference_boundary_size, reference_induced_min_degree,
+                      reference_min_degree_subsets, small_graphs)
 
 
-# -- subset enumeration -------------------------------------------------------
+def _qualifying(g: Graph, h: int) -> list[int]:
+    return reference_min_degree_subsets(g.order, g.edges(), h)
+
+
+# -- the reference subset enumeration ------------------------------------------
 
 def test_square_has_one_2_regular_subset(q2):
-    assert list(enumerate_min_degree_subsets(q2.graph, 2)) == [0b1111]
+    assert _qualifying(q2.graph, 2) == [0b1111]
 
 
 def test_zero_level_enumerates_everything(q3):
-    count = sum(1 for _ in enumerate_min_degree_subsets(q3.graph, 0))
-    assert count == 2 ** 8 - 1
+    assert len(_qualifying(q3.graph, 0)) == 2 ** 8 - 1
 
 
 def test_cube_has_one_3_regular_subset(q3):
-    assert list(enumerate_min_degree_subsets(q3.graph, 3)) == [0b11111111]
-
-
-def test_enumeration_is_gated():
-    ring = Graph.from_edges(40, [(i, (i + 1) % 40) for i in range(40)])
-    with pytest.raises(UsageError):
-        next(enumerate_min_degree_subsets(ring, 1))
+    assert _qualifying(q3.graph, 3) == [0b11111111]
 
 
 # -- size bound (L3.2) ----------------------------------------------------------
@@ -61,7 +57,8 @@ def test_size_bound_q4_tight_includes_square_blocks(q4):
     assert verdict.subsets_checked == 2 ** 16 - 1
     assert verdict.tight_witnesses == TIGHT[("Q4", 2)][0]
     block = block_vertices(q4, 2)
-    assert block.bit_count() == 4 and q4.graph.induced_min_degree(block) >= 2
+    assert block.bit_count() == 4
+    assert reference_induced_min_degree(16, q4.graph.edges(), block) >= 2
 
 
 def test_size_bound_trivial_at_level_zero(q4):
@@ -75,7 +72,7 @@ def test_size_bound_fig1_halves_are_tight(fig1):
     for half in (mask_of([0, 1, 2, 3, 8, 9, 10, 11]),
                  mask_of([4, 5, 6, 7, 12, 13, 14, 15])):
         assert half.bit_count() == 8  # == 2^3, i.e. tight
-        assert fig1.graph.induced_min_degree(half) >= 3
+        assert reference_induced_min_degree(16, fig1.graph.edges(), half) >= 3
 
 
 def test_size_bound_whole_graph_at_top_level(q4, fig1):
@@ -170,12 +167,14 @@ def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
     bounds = {LEMMA_32: 1 << h, LEMMA_35: (1 << h) * (n + 1 - h),
               LEMMA_37: (1 << h) * (n - h)}
     found = {k: [True, None, 0] for k in bounds}
-    for x in enumerate_min_degree_subsets(g, h):
-        boundary = g.boundary_size(x)
+    edges = g.edges()
+    qualifying = _qualifying(g, h)
+    keeps = set(qualifying)
+    for x in qualifying:
+        boundary = reference_boundary_size(edges, x)
         quantities = {LEMMA_32: x.bit_count(),
                       LEMMA_35: x.bit_count() + boundary}
-        y = g.vertex_mask ^ x
-        if y and g.induced_min_degree(y) >= h:
+        if g.vertex_mask ^ x in keeps:  # a nonempty complement that keeps h
             quantities[LEMMA_37] = boundary
         for k, q in quantities.items():
             if q < bounds[k]:
@@ -192,7 +191,7 @@ def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
 def test_scan_bounds_matches_brute_force(g):
     # arbitrary graphs reach levels above some vertex's degree, which the
     # regular family never does
-    n = g.max_degree()
+    n = max(g.degree(v) for v in range(g.order))
     for h in range(n + 2):
         verdicts = _scan_bounds(g, n, h, "g")
         expected = _brute_force_bounds(g, n, h)
@@ -227,20 +226,23 @@ def test_equality_level_out_of_range(q4):
         check_theorem(q4, 4)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -5.0])
+def test_equality_rejects_a_bad_budget(q4, budget):
+    with pytest.raises(UsageError, match="budget"):
+        check_theorem(q4, 1, budget=budget)
+
+
 # -- cross-consistency ----------------------------------------------------------------
 
 def test_min_qualifying_boundary_equals_solver_value(q3, fig1):
     for hl in (q3, fig1):
         g = hl.graph
-        full = g.vertex_mask
+        edges = g.edges()
         for h in range(hl.n):
-            best = None
-            for x in enumerate_min_degree_subsets(g, h):
-                y = full ^ x
-                if y == 0 or g.induced_min_degree(y) < h:
-                    continue
-                b = g.boundary_size(x)
-                best = b if best is None else min(best, b)
+            qualifying = _qualifying(g, h)
+            keeps = set(qualifying)
+            best = min(reference_boundary_size(edges, x)
+                       for x in qualifying if g.vertex_mask ^ x in keeps)
             report = lambda_sh_exact(g, h)
             assert best == report.value
 
@@ -249,12 +251,12 @@ def test_boundary_splits_for_confined_subsets():
     # for X inside the left half, the full boundary is the boundary within
     # the half plus one matching edge per vertex of X
     for hl in (hypercube(4), random_hl(4, 21), random_hl(5, 22)):
-        half_graph = realize(left_descendant(hl.trace, 1))
+        half_graph = realize(hl.trace.left)
         half_mask = block_vertices(hl, hl.n - 1)
         rng = random.Random(hl.n * 1000 + 7)
         for _ in range(40):
             x = rng.getrandbits(half_graph.order)
             if x == 0 or x & ~half_mask:
                 continue
-            assert hl.graph.boundary_size(x) == \
-                half_graph.boundary_size(x) + x.bit_count()
+            assert reference_boundary_size(hl.graph.edges(), x) == \
+                reference_boundary_size(half_graph.edges(), x) + x.bit_count()

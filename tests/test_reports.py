@@ -12,6 +12,8 @@ from hlcut import (UsageError, check_lemma_32, dumps_report, graph_from_text,
                    hypercube, kappa_sh_exact, lambda_sh_exact, parse_report,
                    parse_report_lines, trace_from_text)
 
+from conftest import json_values
+
 
 def test_cut_report_line(q3):
     line = dumps_report(lambda_sh_exact(q3.graph, 1))
@@ -62,19 +64,9 @@ def test_parse_rejects_malformed(bad):
         parse_report(bad)
 
 
-# keys of the report and trace schemas, so random objects reach past the
-# first checks of each parser
-_KEYS = st.sampled_from(["report", "cut", "lemma", "kappa", "h", "value",
-                         "leaf", "left", "right", "sigma"]) | st.text(max_size=4)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _KEYS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(_KEYS, inner, max_size=4)),
-    max_leaves=12)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.text() | st.text(alphabet="0123456789 -x\n") | _JSON.map(json.dumps))
+@given(st.text() | st.text(alphabet="0123456789 -x\n")
+       | json_values.map(json.dumps))
 def test_parsers_return_or_raise_usage_error(text):
     for parse in (parse_report, trace_from_text, graph_from_text):
         try:

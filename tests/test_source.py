@@ -1,0 +1,49 @@
+"""Source hygiene the stdlib can check: every name a package module imports
+is used in that module. `__init__.py` only re-exports, and `__future__`
+imports are directives, so both are exempt."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hlcut
+
+MODULES = sorted(p for p in Path(hlcut.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported(tree: ast.AST) -> dict[str, int]:
+    """Bound name -> line of every import outside `__future__`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere, including inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _used(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
