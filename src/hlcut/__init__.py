@@ -7,8 +7,7 @@ existence by complete scan."""
 from .build import (FIG1_EDGES, FIG1_RELABEL, FIG1_TRACE, HlGraph, Leaf, Node,
                     block_vertices, fig1_graph, from_trace, hypercube,
                     identity_matching, random_hl, read_trace, realize,
-                    trace_from_text, trace_to_text, validate_trace,
-                    write_trace)
+                    trace_from_text, trace_to_text, write_trace)
 from .cuts import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport, Nonexistent,
                    canonical_cut, is_h_edge_cut, lambda_sh_exact)
 from .errors import IncompleteSearchError, TraceError, UsageError

@@ -48,6 +48,9 @@ def identity_matching(size: int) -> tuple[int, ...]:
 
 
 def _realize(trace: Trace, path: str) -> tuple[int, list[tuple[int, int]]]:
+    if len(path) > MAX_DIMENSION:  # bounds the recursion and its 2^depth work
+        raise TraceError(
+            f"trace depth exceeds the construction cap {MAX_DIMENSION}", path)
     if isinstance(trace, Leaf):
         return 1, []
     if not isinstance(trace, Node):
@@ -69,36 +72,13 @@ def _realize(trace: Trace, path: str) -> tuple[int, list[tuple[int, int]]]:
 
 def realize(trace: Trace) -> Graph:
     """Realize a trace under canonical labeling. Structural defects
-    (unbalanced subtrees, non-bijective matchings) raise TraceError naming
-    the offending node path."""
-    if trace_depth(trace) > MAX_DIMENSION:
-        raise UsageError(
-            f"trace depth exceeds the construction cap {MAX_DIMENSION}")
+    (unbalanced subtrees, non-bijective matchings, depth beyond the cap)
+    raise TraceError naming the offending node path. A trace of depth n that
+    realizes is n-regular, connected and of order 2^n: each join doubles the
+    order, gives every vertex one matching edge, and links two connected
+    halves."""
     order, edges = _realize(trace, "")
     return Graph.from_edges(order, edges)
-
-
-def trace_depth(trace: Trace) -> int:
-    d = 0
-    t = trace
-    while isinstance(t, Node):
-        d += 1
-        t = t.left
-    return d
-
-
-def validate_trace(trace: Trace) -> Graph:
-    """Realize and fully check a trace: balanced depths, bijective matchings,
-    and that the result is n-regular, connected, of order 2^n."""
-    g = realize(trace)
-    n = trace_depth(trace)
-    if g.order != 1 << n:
-        raise TraceError(f"realized order {g.order} != 2^{n}", "")
-    if any(a.bit_count() != n for a in g.adj):
-        raise TraceError(f"realized graph is not {n}-regular", "")
-    if not g.is_connected():
-        raise TraceError("realized graph is not connected", "")
-    return g
 
 
 @dataclass(frozen=True)
@@ -121,8 +101,8 @@ class HlGraph:
 def from_trace(trace: Trace, label: str | None = None) -> HlGraph:
     """Build an HlGraph from an explicit trace (the entry point for custom
     matchings, e.g. the twisted cube variants)."""
-    g = validate_trace(trace)
-    n = trace_depth(trace)
+    g = realize(trace)
+    n = g.order.bit_length() - 1
     return HlGraph(g, trace, n, identity_matching(g.order),
                    label if label is not None else f"HL{n}")
 
@@ -141,7 +121,7 @@ def hypercube(n: int) -> HlGraph:
     t: Trace = LEAF
     for k in range(1, n + 1):
         t = Node(t, t, identity_matching(1 << (k - 1)))
-    return HlGraph(realize(t), t, n, identity_matching(1 << n), f"Q{n}")
+    return from_trace(t, f"Q{n}")
 
 
 # -- seeded random members ---------------------------------------------------
@@ -201,7 +181,7 @@ def random_hl(n: int, seed: int) -> HlGraph:
     _check_dimension(n)
     seed &= MASK64
     t = _random_trace(n, seed, "")
-    return HlGraph(realize(t), t, n, identity_matching(1 << n), f"HL{n}[seed={seed}]")
+    return from_trace(t, f"HL{n}[seed={seed}]")
 
 
 # -- embedded blocks ----------------------------------------------------------

@@ -91,24 +91,21 @@ def cmd_solve(args) -> int:
     if args.expect_theorem and any(h > n - 1 for h in levels):
         raise UsageError(f"--expect-theorem needs h < {n} for this graph")
     reports = []
-    rows = []
     mismatch = False
     for h in levels:
         report = lambda_sh_exact(g, h, method=args.method, budget=args.budget,
                                  override_gate=args.override_gate)
+        if not reports:
+            print(f"{'h':<4}{'value':<14}{'formula':<10}{'match'}")
         reports.append(report)
         value = report.value if isinstance(report, CutReport) else None
+        formula = match = "-"
         if n is not None and h <= n - 1:
             formula = (1 << h) * (n - h)
-            match = value == formula
-            mismatch |= not match
-            rows.append((h, value, str(formula), "yes" if match else "no"))
-        else:
-            rows.append((h, value, "-", "-"))
-    print(f"{'h':<4}{'value':<14}{'formula':<10}{'match'}")
-    for h, value, formula, match in rows:
-        shown = "nonexistent" if value is None else str(value)
-        print(f"{h:<4}{shown:<14}{formula:<10}{match}")
+            mismatch |= value != formula
+            match = "yes" if value == formula else "no"
+        shown = "nonexistent" if value is None else value
+        print(f"{h:<4}{shown:<14}{formula:<10}{match}", flush=True)
     if args.out is not None:
         write_reports(args.out, reports)
     if args.expect_theorem and mismatch:
@@ -120,22 +117,22 @@ _LEMMA_CHECKS = {
     "3.2": (check_lemma_32, 0),      # admits h up to n
     "3.5": (check_lemma_35, 1),      # up to n-1
     "3.7": (check_lemma_37, 1),
-    "thm": (None, 1),
+    "thm": (check_theorem, 1),
 }
 
 
 def cmd_verify(args) -> int:
+    search = {key: value for key, value in vars(args).items()
+              if key in ("method", "budget") and value is not None}
+    if search and args.lemma != "thm":
+        raise UsageError("--method and --budget apply only to --lemma thm")
     trace = read_trace(args.trace)
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
     verdicts: list[LemmaVerdict] = []
     for h in levels:
-        if args.lemma == "thm":
-            v = check_theorem(hl, h, method=args.method, budget=args.budget,
-                              override_gate=args.override_gate)
-        else:
-            v = checker(hl, h, override_gate=args.override_gate)
+        v = checker(hl, h, override_gate=args.override_gate, **search)
         verdicts.append(v)
         status = "holds" if v.holds else "FAILS"
         extra = ""
@@ -203,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=sorted(_LEMMA_CHECKS))
     p.add_argument("--trace", required=True)
     p.add_argument("--h", required=True, help="level, or 'all'")
-    p.add_argument("--method", default=EXHAUSTIVE,
-                   choices=[EXHAUSTIVE, BRANCH_AND_BOUND])
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--method", choices=[EXHAUSTIVE, BRANCH_AND_BOUND],
+                   help="--lemma thm only (default exhaustive)")
+    p.add_argument("--budget", type=float, help="--lemma thm only")
     p.add_argument("--out", default=None)
     p.add_argument("--override-gate", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -42,7 +42,6 @@ class CutReport:
     witness_side: int
     method: str
     subsets_examined: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class Nonexistent:
     h: int
     method: str
     subsets_examined: int
-    elapsed: float
 
 
 def is_h_edge_cut(g: Graph, f, h: int) -> bool:
@@ -258,15 +256,10 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
         check_gate(g.order, override_gate)
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
-    start = time.perf_counter()
     deadline = time.monotonic() + budget if budget is not None else None
-
-    def finish_nonexistent(examined):
-        return Nonexistent(h, method, examined, time.perf_counter() - start)
-
     # a vertex of degree < h can never keep degree h on either side
     if g.order < 2 or min(a.bit_count() for a in g.adj) < h:
-        return finish_nonexistent(0)
+        return Nonexistent(h, method, 0)
 
     adj = g.adj
     best = best_mask = None
@@ -296,9 +289,8 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
                                     examined + exc.subsets_examined,
                                     budget if budget is not None else 0.0) from None
     if best is None:
-        return finish_nonexistent(examined)
+        return Nonexistent(h, method, examined)
     witness_cut = g.edge_boundary(best_mask)
     if len(witness_cut) != best:
         raise AssertionError("witness boundary does not match the found value")
-    return CutReport(h, best, witness_cut, best_mask, method, examined,
-                     time.perf_counter() - start)
+    return CutReport(h, best, witness_cut, best_mask, method, examined)

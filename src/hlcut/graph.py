@@ -37,8 +37,10 @@ def mask_of(vertices: Iterable[int]) -> int:
 def check_gate(order: int, override_gate: bool) -> None:
     if order > SOLVER_GATE and not override_gate:
         raise UsageError(
-            f"order {order} exceeds the exhaustive-search gate of {SOLVER_GATE} "
-            f"(pass the override flag to force a 2^{order} scan)")
+            f"order {order} exceeds the exhaustive-search gate of {SOLVER_GATE}: "
+            f"a 2^{order} scan would not finish; solve and verify --lemma thm "
+            f"accept --method branch-and-bound, and --override-gate still "
+            f"forces the scan")
 
 
 def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,

@@ -11,7 +11,6 @@ up to order-2 has been exhausted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -26,7 +25,6 @@ class KappaReport:
     value: int | None       # witness size when exists
     witness: int | None     # vertex mask when exists
     subsets_checked: int
-    elapsed: float
 
 
 def subsets_of_size(order: int, k: int) -> Iterator[int]:
@@ -67,7 +65,6 @@ def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport
     if h < 0:
         raise UsageError(f"negative level {h}")
     check_gate(g.order, override_gate)
-    start = time.perf_counter()
     adj = g.adj
     full = g.vertex_mask
     checked = 0
@@ -79,7 +76,5 @@ def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport
                 continue
             if connected_within(adj, rest):
                 continue
-            return KappaReport(h, True, size, s, checked,
-                               time.perf_counter() - start)
-    return KappaReport(h, False, None, None, checked,
-                       time.perf_counter() - start)
+            return KappaReport(h, True, size, s, checked)
+    return KappaReport(h, False, None, None, checked)

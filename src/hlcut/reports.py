@@ -2,7 +2,7 @@
 
 One report per line, compact JSON with a fixed key order, newline-terminated,
 vertex sets as ascending vertex lists and edges as ascending [u, v] pairs.
-Volatile run statistics (method, nodes examined, wall time) are deliberately
+Volatile run statistics (method, nodes examined) are deliberately
 not part of the file format so that reports are byte-identical across solver
 methods; they stay on the in-memory objects.
 """

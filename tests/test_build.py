@@ -3,6 +3,7 @@ members, embedded blocks, edge levels, and the figure fixture."""
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 
 from hlcut import (FIG1_EDGES, TraceError, UsageError, block_vertices,
                    fig1_graph, from_trace, hypercube, mask_of, random_hl,
-                   realize, trace_from_text, trace_to_text, validate_trace)
-from hlcut.build import LEAF, MAX_DIMENSION, Leaf, Node, SplitMix64, fnv1a64
+                   realize, trace_from_text, trace_to_text)
+from hlcut.build import (LEAF, MAX_DIMENSION, Leaf, Node, SplitMix64, fnv1a64,
+                         identity_matching)
 
 from conftest import (hl_members, left_deep_trace_text,
                       reference_induced_min_degree, right_deep_trace_text)
@@ -134,28 +136,57 @@ def test_random_hl_seeds_differ():
 
 # -- traces ------------------------------------------------------------------------
 
-def test_validate_trace_round_trips_hypercube(q3):
-    assert validate_trace(q3.trace) == q3.graph
+def test_realize_round_trips_hypercube(q3):
+    assert realize(q3.trace) == q3.graph
 
 
-def test_validate_trace_rejects_non_bijection():
+def test_realize_rejects_non_bijection():
     bad = Node(Node(LEAF, LEAF, (0,)), Node(LEAF, LEAF, (0,)), (0, 0))
     with pytest.raises(TraceError) as err:
-        validate_trace(bad)
+        realize(bad)
     assert "bijection" in str(err.value)
 
 
-def test_validate_trace_rejects_unbalanced():
+def test_realize_rejects_unbalanced():
     lopsided = Node(Node(LEAF, LEAF, (0,)), LEAF, (0, 1))
     with pytest.raises(TraceError):
-        validate_trace(lopsided)
+        realize(lopsided)
 
 
 def test_trace_error_names_the_path():
     bad = Node(Node(LEAF, LEAF, (0, 1)), Node(LEAF, LEAF, (0,)), (0, 1))
     with pytest.raises(TraceError) as err:
-        validate_trace(bad)
+        realize(bad)
     assert err.value.path == "0"
+
+
+def _balanced_trace(depth):
+    t = LEAF
+    for k in range(depth):
+        t = Node(t, t, identity_matching(1 << k))  # one shared subtree a level
+    return t
+
+
+def _right_chain(depth):
+    t = LEAF
+    for _ in range(depth):
+        t = Node(LEAF, t, (0,))
+    return t
+
+
+@pytest.mark.parametrize("trace, path", [
+    # the left spine is one level deep, so only the recursion sees the depth
+    (Node(LEAF, _balanced_trace(17), (0,)), "1" + "0" * MAX_DIMENSION),
+    (_right_chain(5000), "1" * MAX_DIMENSION + "0"),
+], ids=["right-balanced-17", "right-chain-5000"])
+def test_realize_caps_the_depth_on_every_path(trace, path):
+    for build in (realize, from_trace):
+        start = time.perf_counter()
+        with pytest.raises(TraceError) as err:
+            build(trace)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.path == path
+        assert "construction cap" in str(err.value)
 
 
 @settings(max_examples=30)
@@ -283,7 +314,7 @@ def test_fig1_exact_edge_set(fig1):
 
 
 def test_fig1_trace_realizes_the_fixture(fig1):
-    canonical = validate_trace(fig1.trace)
+    canonical = realize(fig1.trace)
     perm = fig1.relabel
     renamed = {tuple(sorted((perm[u], perm[v]))) for u, v in canonical.edges()}
     assert renamed == {tuple(sorted(e)) for e in FIG1_EDGES}

@@ -164,6 +164,31 @@ def test_solve_budget_exhaustion_exit_code(tmp_path):
                "--method", "branch-and-bound") == 3
 
 
+def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
+    path = tmp_path / "hl6.graph"
+    out = tmp_path / "reports.jsonl"
+    # h=0 and h=1 finish in 192 and 2 752 nodes, before the first deadline
+    # check at node 4096; h=2 needs more and expires at that check
+    write_graph(path, random_hl(6, 1).graph)
+    assert run("solve", "--graph", path, "--h", "all", "--method",
+               "branch-and-bound", "--budget", 0, "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "h   value         formula   match",
+        "0   6             6         yes",
+        "1   10            10        yes"]
+    assert "incomplete: " in captured.err and "h=2" in captured.err
+    assert not out.exists()  # --out is all or nothing
+
+
+def test_solve_gate_message_names_branch_and_bound(tmp_path, capsys):
+    path = tmp_path / "q6.graph"
+    write_graph(path, hypercube(6).graph)
+    assert run("solve", "--graph", path, "--h", 0) == 2
+    err = capsys.readouterr().err
+    assert "branch-and-bound" in err and "--override-gate" in err
+
+
 @pytest.mark.parametrize("budget", ["nan", "-5"])
 def test_solve_rejects_a_bad_budget(tmp_path, capsys, budget):
     path = tmp_path / "q6.graph"
@@ -214,6 +239,24 @@ def test_verify_theorem_rejects_a_bad_budget(q4_trace, capsys, budget):
     assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
                "--budget", budget) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
+@pytest.mark.parametrize("flag", [("--method", "exhaustive"),
+                                  ("--budget", "nan")])
+def test_verify_search_flags_apply_only_to_the_theorem(q4_trace, capsys,
+                                                       lemma, flag):
+    assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", 1,
+               *flag) == 2
+    captured = capsys.readouterr()
+    assert "apply only to --lemma thm" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_theorem_takes_method_and_budget(q4_trace, capsys):
+    assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
+               "--method", "branch-and-bound", "--budget", 30) == 0
+    assert capsys.readouterr().out.count("holds") == 4
 
 
 def test_verify_level_out_of_range(q4_trace):
