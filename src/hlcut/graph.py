@@ -219,11 +219,10 @@ class Graph:
             adj[v] &= ~(1 << u)
         return adj
 
-    def is_connected(self, removed: Iterable[tuple[int, int]] = ()) -> bool:
-        """Connectivity of the graph minus `removed`, over all vertices.
-        Graphs on 0 or 1 vertices are connected."""
-        adj = self.adj_without(removed)
-        return connected_within(adj, self.vertex_mask)
+    def is_connected(self) -> bool:
+        """Connectivity over all vertices; graphs on 0 or 1 vertices are
+        connected."""
+        return connected_within(self.adj, self.vertex_mask)
 
     # -- equality ----------------------------------------------------------
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -110,6 +111,36 @@ def reference_min_cut(order: int, edges, h: int):
         if best[0] is None or value < best[0]:
             best = (value, mask)
     return best
+
+
+def reference_restricted_edge_connectivity(edges) -> int:
+    """Fewest edges whose removal disconnects the graph while every vertex
+    keeps a neighbour (the level-1 value), from networkx max-flows only
+    (Esfahanian & Hakimi, IPL 1988). Fix an edge uv. A smallest such cut
+    either keeps u and v together, and then an edge xy disjoint from {u, v}
+    lies on the other side, or it splits them, and then a neighbour x of u
+    stays with u and a neighbour y of v with v. A minimum s-t cut between
+    two such adjacent pairs leaves no vertex without a neighbour on its own
+    side, else moving it across would cut fewer edges. So the value is the
+    least {u, v}-{x, y} or {u, x}-{v, y} cut. Meaningful only where a
+    level-1 cut exists."""
+    g = nx.Graph()
+    g.add_edges_from(edges, capacity=1)
+    u, v = next(iter(g.edges()))
+
+    def pair_cut(sources, sinks) -> int:
+        # edges to the super terminals carry no capacity: networkx reads
+        # that as unbounded
+        net = g.copy()
+        net.add_edges_from(("source", s) for s in sources)
+        net.add_edges_from((t, "sink") for t in sinks)
+        return nx.minimum_cut_value(net, "source", "sink")
+
+    together = [pair_cut((u, v), (x, y)) for x, y in g.edges()
+                if not {u, v} & {x, y}]
+    apart = [pair_cut((u, x), (v, y)) for x in g[u] if x != v
+             for y in g[v] if y not in (u, x)]
+    return min(together + apart)
 
 
 def random_simple_graph(rng: random.Random, order: int, p: float = 0.45) -> Graph:

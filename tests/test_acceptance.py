@@ -21,9 +21,9 @@ import pytest
 
 from conftest import reference_vertex_cut
 from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, FIG1_EDGES, CutReport,
-                   IncompleteSearchError, canonical_cut, check_bound_lemmas,
-                   check_lemma_32, dumps_report, fig1_graph, hypercube,
-                   is_h_edge_cut, is_h_vertex_cut, kappa_sh_exact,
+                   IncompleteSearchError, canonical_cut, check_lemma_32,
+                   check_lemma_35, check_lemma_37, dumps_report, fig1_graph,
+                   hypercube, is_h_edge_cut, is_h_vertex_cut, kappa_sh_exact,
                    lambda_sh_exact, random_hl)
 
 
@@ -98,11 +98,13 @@ def test_criterion_4_bound_lemmas_full_scan(fig1):
     members = [hypercube(4), fig1] + [random_hl(4, s) for s in range(1, 6)]
     failures = []
     scans = 0
+    # the size bound admits h = n, the other two stop at n - 1
+    checks = ((check_lemma_32, 4), (check_lemma_35, 3), (check_lemma_37, 3))
     for hl in members:
-        for h in range(5):  # size bound admits h = n
-            verdicts = check_bound_lemmas(hl, h)
-            scans += 1
-            for v in verdicts.values():
+        for check, top in checks:
+            for h in range(top + 1):
+                v = check(hl, h)
+                scans += 1
                 if not v.holds or v.subsets_checked != 2 ** 16 - 1:
                     failures.append((hl.label, v.lemma_id, h))
     elapsed = time.perf_counter() - t0

@@ -14,7 +14,8 @@ from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport,
 from hlcut import cuts
 from hlcut.graph import Graph
 
-from conftest import hl_members, reference_min_cut, small_graphs
+from conftest import (hl_members, reference_min_cut,
+                      reference_restricted_edge_connectivity, small_graphs)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -149,6 +150,27 @@ def test_level_zero_matches_maxflow_edge_connectivity():
         report = lambda_sh_exact(hl.graph, 0)
         assert report.value == nx.edge_connectivity(to_nx(hl.graph))
         assert report.value == hl.n
+    # past the exhaustive gate, branch-and-bound against the same reference
+    for hl in (hypercube(6), hypercube(7), random_hl(6, 1), random_hl(7, 1)):
+        report = lambda_sh_exact(hl.graph, 0, method=BRANCH_AND_BOUND)
+        assert report.value == nx.edge_connectivity(to_nx(hl.graph)) == hl.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_level_one_reference_matches_brute_force(g):
+    value, _ = reference_min_cut(g.order, g.edges(), 1)
+    assume(value is not None)
+    assert reference_restricted_edge_connectivity(g.edges()) == value
+
+
+def test_level_one_matches_restricted_edge_connectivity():
+    # each dimension-6 reference takes well under a second; dimension 7
+    # takes several
+    for hl in (hypercube(6), random_hl(6, 1), random_hl(6, 2)):
+        report = lambda_sh_exact(hl.graph, 1, method=BRANCH_AND_BOUND)
+        assert report.value == \
+            reference_restricted_edge_connectivity(hl.graph.edges()) == 10
 
 
 def test_methods_and_threads_agree(q3, fig1):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlcut import Graph, UsageError, graph_from_text, graph_to_text, hypercube, mask_of
+from hlcut import (Graph, UsageError, graph_from_text, graph_to_text, hypercube,
+                   is_h_edge_cut, mask_of)
 from hlcut.graph import MAX_ORDER, boundary_walk, keeps_degree
 
 from conftest import (random_simple_graph, reference_adjacency,
@@ -92,19 +93,22 @@ def test_is_connected(q3):
     assert q3.graph.is_connected()
 
 
+# connectivity under edge deletion: a level-0 edge cut is exactly an edge set
+# whose removal disconnects the graph
+
 def test_single_edge_removal_disconnects_k2():
     k2 = hypercube(1).graph
-    assert not k2.is_connected(removed=[(0, 1)])
+    assert is_h_edge_cut(k2, [(0, 1)], 0)
 
 
 def test_q3_survives_any_single_edge_removal(q3):
     for e in q3.graph.edges():
-        assert q3.graph.is_connected(removed=[e])
+        assert not is_h_edge_cut(q3.graph, [e], 0)
 
 
 def test_removing_non_edge_rejected(q3):
     with pytest.raises(UsageError):
-        q3.graph.is_connected(removed=[(0, 3)])
+        is_h_edge_cut(q3.graph, [(0, 3)], 0)
 
 
 def test_graph_construction_rejects_loops():

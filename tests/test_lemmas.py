@@ -8,18 +8,33 @@ import pytest
 from hypothesis import given, settings
 
 from hlcut import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, UsageError,
-                   block_vertices, check_bound_lemmas, check_lemma_32,
-                   check_lemma_35, check_lemma_37, check_theorem, hypercube,
-                   lambda_sh_exact, mask_of, random_hl, realize)
-from hlcut.graph import Graph
-from hlcut.lemmas import _scan_bounds
+                   block_vertices, check_lemma_32, check_lemma_35,
+                   check_lemma_37, check_theorem, hypercube, lambda_sh_exact,
+                   mask_of, random_hl, realize)
+from hlcut import lemmas
+from hlcut.graph import Graph, keeps_degree
+from hlcut.lemmas import _scan
 
 from conftest import (reference_boundary_size, reference_induced_min_degree,
                       reference_min_degree_subsets, small_graphs)
 
 
+CHECKS = {LEMMA_32: check_lemma_32, LEMMA_35: check_lemma_35,
+          LEMMA_37: check_lemma_37}
+
+
 def _qualifying(g: Graph, h: int) -> list[int]:
     return reference_min_degree_subsets(g.order, g.edges(), h)
+
+
+def _bounds(n: int, h: int) -> dict[str, int]:
+    return {LEMMA_32: 1 << h, LEMMA_35: (1 << h) * (n + 1 - h),
+            LEMMA_37: (1 << h) * (n - h)}
+
+
+def _quantity(lemma: str, size: int, boundary: int) -> int:
+    return {LEMMA_32: size, LEMMA_35: size + boundary,
+            LEMMA_37: boundary}[lemma]
 
 
 # -- the reference subset enumeration ------------------------------------------
@@ -123,19 +138,37 @@ def test_boundary_bound_fig1_level_zero(fig1):
 def test_all_bounds_on_random_members():
     for seed in (3, 4):
         hl = random_hl(4, seed)
-        for h in range(4):
-            verdicts = check_bound_lemmas(hl, h)
-            assert all(v.holds for v in verdicts.values())
+        for check in CHECKS.values():
+            for h in range(4):
+                assert check(hl, h).holds
 
 
-def test_shared_pass_matches_individual_checks(fig1):
-    both = check_bound_lemmas(fig1, 2)
-    assert both[LEMMA_32] == check_lemma_32(fig1, 2)
-    assert both[LEMMA_35] == check_lemma_35(fig1, 2)
-    assert both[LEMMA_37] == check_lemma_37(fig1, 2)
-    assert (both[LEMMA_32].tight_witnesses,
-            both[LEMMA_35].tight_witnesses,
-            both[LEMMA_37].tight_witnesses) == TIGHT[("fig1", 2)]
+def test_fig1_level_two_tight_counts(fig1):
+    counts = tuple(check(fig1, 2).tight_witnesses for check in CHECKS.values())
+    assert counts == TIGHT[("fig1", 2)]
+
+
+@pytest.mark.parametrize("lemma, h", [(LEMMA_32, 2), (LEMMA_35, 3),
+                                      (LEMMA_37, 3)])
+def test_scan_degree_tests_only_at_or_below_its_bound(q4, monkeypatch,
+                                                      lemma, h):
+    tested = []
+
+    def recording(adj, vertices, within, level):
+        tested.append(vertices)
+        return keeps_degree(adj, vertices, within, level)
+
+    monkeypatch.setattr(lemmas, "keeps_degree", recording)
+    verdict = CHECKS[lemma](q4, h)
+    assert verdict.holds and tested
+    # the boundary is symmetric, so a complement tested under L3.7 meets the
+    # same bound as its subset
+    edges = q4.graph.edges()
+    bound = _bounds(4, h)[lemma]
+    above = [x for x in tested
+             if _quantity(lemma, x.bit_count(),
+                          reference_boundary_size(edges, x)) > bound]
+    assert above == []
 
 
 def test_level_out_of_range_rejected(q4):
@@ -149,12 +182,12 @@ def test_level_out_of_range_rejected(q4):
 
 def test_star_violates_boundary_bound():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    verdicts = _scan_bounds(star, 2, 0, "star")
-    v37 = verdicts[LEMMA_37]
+    bounds = _bounds(2, 0)
+    v37 = _scan(star, LEMMA_37, bounds[LEMMA_37], 0, "star")
     assert not v37.holds
     assert v37.counterexample == mask_of([1])  # the smallest violating mask
     assert len(star.edge_boundary(v37.counterexample)) < (1 << 0) * 2
-    v35 = verdicts[LEMMA_35]
+    v35 = _scan(star, LEMMA_35, bounds[LEMMA_35], 0, "star")
     assert not v35.holds
     x = v35.counterexample
     assert x.bit_count() + len(star.edge_boundary(x)) < (1 << 0) * 3
@@ -164,19 +197,18 @@ def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
     """(holds, counterexample, tight_witnesses) per bound, straight from the
     definitions: every subset with min degree >= h, and for L3.7 also a
     nonempty complement with min degree >= h."""
-    bounds = {LEMMA_32: 1 << h, LEMMA_35: (1 << h) * (n + 1 - h),
-              LEMMA_37: (1 << h) * (n - h)}
+    bounds = _bounds(n, h)
     found = {k: [True, None, 0] for k in bounds}
     edges = g.edges()
     qualifying = _qualifying(g, h)
     keeps = set(qualifying)
     for x in qualifying:
         boundary = reference_boundary_size(edges, x)
-        quantities = {LEMMA_32: x.bit_count(),
-                      LEMMA_35: x.bit_count() + boundary}
+        applicable = [LEMMA_32, LEMMA_35]
         if g.vertex_mask ^ x in keeps:  # a nonempty complement that keeps h
-            quantities[LEMMA_37] = boundary
-        for k, q in quantities.items():
+            applicable.append(LEMMA_37)
+        for k in applicable:
+            q = _quantity(k, x.bit_count(), boundary)
             if q < bounds[k]:
                 found[k][0] = False
                 if found[k][1] is None:
@@ -188,14 +220,14 @@ def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
-def test_scan_bounds_matches_brute_force(g):
+def test_scan_matches_brute_force(g):
     # arbitrary graphs reach levels above some vertex's degree, which the
     # regular family never does
     n = max(g.degree(v) for v in range(g.order))
     for h in range(n + 2):
-        verdicts = _scan_bounds(g, n, h, "g")
         expected = _brute_force_bounds(g, n, h)
-        for k, v in verdicts.items():
+        for k, bound in _bounds(n, h).items():
+            v = _scan(g, k, bound, h, "g")
             assert (v.holds, v.counterexample, v.tight_witnesses) == expected[k]
             assert v.subsets_checked == g.vertex_mask
 
