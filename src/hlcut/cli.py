@@ -13,9 +13,9 @@ import sys
 
 from .build import (fig1_graph, from_trace, hypercube, random_hl, read_trace,
                     write_trace)
-from .cuts import BRANCH_AND_BOUND, EXHAUSTIVE, CutReport, lambda_sh_exact
+from .cuts import BRANCH_AND_BOUND, EXHAUSTIVE, lambda_sh_exact
 from .errors import IncompleteSearchError, UsageError
-from .graph import Graph, read_graph, write_graph
+from .graph import Graph, read_graph, vertex_list, write_graph
 from .kappa import kappa_sh_exact
 from .lemmas import (LemmaVerdict, check_lemma_32, check_lemma_35,
                      check_lemma_37, check_theorem)
@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
         if not reports:
             print(f"{'h':<4}{'value':<14}{'formula':<10}{'match'}")
         reports.append(report)
-        value = report.value if isinstance(report, CutReport) else None
+        value = report.value
         formula = match = "-"
         if n is not None and h <= n - 1:
             formula = (1 << h) * (n - h)
@@ -137,9 +137,7 @@ def cmd_verify(args) -> int:
         status = "holds" if v.holds else "FAILS"
         extra = ""
         if v.counterexample is not None:
-            members = [u for u in range(v.counterexample.bit_length())
-                       if v.counterexample >> u & 1]
-            extra = f" counterexample={members}"
+            extra = f" counterexample={vertex_list(v.counterexample)}"
         print(f"{v.lemma_id}  {v.graph_id}  h={h}: {status} "
               f"(subsets={v.subsets_checked}, tight={v.tight_witnesses})"
               + extra)
@@ -153,10 +151,9 @@ def cmd_kappa(args) -> int:
     levels = _parse_h(args.h, -1, allow_all=False)
     report = kappa_sh_exact(g, levels[0], override_gate=args.override_gate)
     if report.exists:
-        members = [u for u in range(report.witness.bit_length())
-                   if report.witness >> u & 1]
         print(f"h={report.h}: exists, value {report.value}, "
-              f"witness {members} (subsets_checked={report.subsets_checked})")
+              f"witness {vertex_list(report.witness)} "
+              f"(subsets_checked={report.subsets_checked})")
     else:
         print(f"h={report.h}: nonexistent "
               f"(subsets_checked={report.subsets_checked})")

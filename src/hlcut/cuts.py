@@ -6,7 +6,7 @@ boundary of a single side X (dropping any further edges from a cut leaves a
 smaller cut with the same component), so the search space is bipartitions:
 nonempty X not containing the anchor vertex 0, with min degree >= h inside X
 and inside its complement. Tie-break among minimum cuts: the lexicographically
-smallest witness-side bitmask. Both methods return identical reports.
+smallest witness-side bitmask; both methods return it.
 
 Branch-and-bound assigns vertices to X or to the anchor's side Y and prunes a
 partial assignment by two lower bounds on every completion's cut: the edges
@@ -36,19 +36,12 @@ _TIME_CHECK_INTERVAL = 4096
 
 @dataclass(frozen=True)
 class CutReport:
+    """A minimum cut and its witness; value, witness_cut and witness_side
+    are None when a complete search proves that no qualifying cut exists."""
     h: int
-    value: int
-    witness_cut: tuple[Edge, ...]
-    witness_side: int
-    method: str
-    subsets_examined: int
-
-
-@dataclass(frozen=True)
-class Nonexistent:
-    """No qualifying cut exists; a first-class outcome, not an error."""
-    h: int
-    method: str
+    value: int | None
+    witness_cut: tuple[Edge, ...] | None
+    witness_side: int | None
     subsets_examined: int
 
 
@@ -108,13 +101,18 @@ def _augment(adj, out, x, y, value, limit, frontier, seen):
 
     Bit w of out[u] is one unit on u->w, and no edge carries flow both ways,
     so the residual arc u->w exists iff w is adjacent to u and that bit is
-    clear. Each round is a layered BFS that stops at the first layer
-    meeting Y. From each sink in that layer it then walks back one layer at
-    a time over residual arcs, pushing a unit along every path it completes
-    (cancelling reverse flow where there is some), until a walk dead-ends."""
+    clear. Each search is a layered BFS that stops at the first layer
+    meeting Y. It then pushes one unit along one shortest path, walking back
+    from the lowest sink one layer at a time over residual arcs and
+    cancelling reverse flow where there is some. Every BFS vertex is reached
+    from the layer before it, so the walk never dead-ends. The callers read
+    only the value and the reach, which are the same for every maximum flow
+    (Ford & Fulkerson 1962), so the choice of path changes no answer."""
     while value < limit:
         layers = []
-        while frontier:
+        while not frontier & y:
+            if not frontier:
+                return value, seen
             layers.append(frontier)
             step = 0
             t = frontier
@@ -124,32 +122,20 @@ def _augment(adj, out, x, y, value, limit, frontier, seen):
                 step |= adj[u] & ~out[u]
                 t ^= b
             frontier = step & ~seen
-            if frontier & y:
-                break
             seen |= frontier
         sinks = frontier & y
-        if not sinks:
-            return value, seen
-        while sinks and value < limit:
-            w = (sinks & -sinks).bit_length() - 1
-            path = []
-            for layer in reversed(layers):
-                t = layer & adj[w]
-                while t and out[(t & -t).bit_length() - 1] >> w & 1:
-                    t &= t - 1
-                if not t:
-                    sinks &= sinks - 1  # this sink is done for the round
-                    break
-                u = (t & -t).bit_length() - 1
-                path.append((u, w))
-                w = u
+        w = (sinks & -sinks).bit_length() - 1
+        for layer in reversed(layers):
+            t = layer & adj[w]
+            while out[(t & -t).bit_length() - 1] >> w & 1:
+                t &= t - 1
+            u = (t & -t).bit_length() - 1
+            if out[w] >> u & 1:
+                out[w] ^= 1 << u
             else:
-                for u, w in path:
-                    if out[w] >> u & 1:
-                        out[w] ^= 1 << u
-                    else:
-                        out[u] |= 1 << w
-                value += 1
+                out[u] |= 1 << w
+            w = u
+        value += 1
         frontier = seen = x
     return value, None
 
@@ -172,7 +158,9 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     parent's flow stays feasible, with the same value, once v joins X or Y:
     the Y child (explored first) reuses the parent's list and the X child a
     copy. A maximum flow also leaves the set R its residual graph reaches
-    from X, which holds no Y vertex and has no residual arc leaving it. So
+    from X, which holds no Y vertex and has no residual arc leaving it;
+    every maximum flow has the same value and the same R, so no decision
+    depends on which paths `_augment` pushes. So
     the Y child has an augmenting path iff v is in R, and the X child can
     only have one from v, outside R; the other child's flow is still
     maximum and keeps R. Degree
@@ -234,17 +222,18 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
 
 def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
                     budget: float | None = None,
-                    override_gate: bool = False) -> CutReport | Nonexistent:
+                    override_gate: bool = False) -> CutReport:
     """Exact minimum size of an edge cut leaving both sides at minimum degree
-    >= h, with a witness side, or Nonexistent after a complete search.
+    >= h, with a witness side; value None after a complete search finds no
+    such cut.
 
     Exhaustive enumerates all anchored bipartitions. Branch-and-bound
     computes the exact value first and then reconstructs the
-    lexicographically smallest witness, so both methods return identical
-    reports. Only exhaustive scans are gated by order (`override_gate` lifts
-    the gate); branch-and-bound is bounded by the budget instead. A budget
-    (seconds) turns an overlong search into IncompleteSearchError carrying
-    the best incumbent."""
+    lexicographically smallest witness, so both methods return the same
+    value and witness. Only exhaustive scans are gated by order
+    (`override_gate` lifts the gate); branch-and-bound is bounded by the
+    budget instead. A budget (seconds) turns an overlong search into
+    IncompleteSearchError carrying the best incumbent."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if budget is not None and not budget >= 0:  # also rejects NaN
@@ -259,7 +248,7 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
     deadline = time.monotonic() + budget if budget is not None else None
     # a vertex of degree < h can never keep degree h on either side
     if g.order < 2 or min(a.bit_count() for a in g.adj) < h:
-        return Nonexistent(h, method, 0)
+        return CutReport(h, None, None, None, 0)
 
     adj = g.adj
     best = best_mask = None
@@ -289,8 +278,8 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
                                     examined + exc.subsets_examined,
                                     budget if budget is not None else 0.0) from None
     if best is None:
-        return Nonexistent(h, method, examined)
+        return CutReport(h, None, None, None, examined)
     witness_cut = g.edge_boundary(best_mask)
     if len(witness_cut) != best:
         raise AssertionError("witness boundary does not match the found value")
-    return CutReport(h, best, witness_cut, best_mask, method, examined)
+    return CutReport(h, best, witness_cut, best_mask, examined)

@@ -34,6 +34,13 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def vertex_list(mask: int | None) -> list[int] | None:
+    """The vertices of `mask` in ascending order; the inverse of mask_of."""
+    if mask is None:
+        return None
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def check_gate(order: int, override_gate: bool) -> None:
     if order > SOLVER_GATE and not override_gate:
         raise UsageError(
@@ -175,11 +182,6 @@ class Graph:
         if not (0 <= u < self.order and 0 <= v < self.order):
             return False
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.order:
-            raise UsageError(f"vertex {v} outside 0..{self.order - 1}")
-        return self.adj[v].bit_count()
 
     def _check_vertex_set(self, x: int) -> None:
         if x < 0 or x & ~self.vertex_mask:

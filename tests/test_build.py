@@ -30,14 +30,14 @@ def test_oplus_identity_on_edges_is_a_square():
     k2 = hypercube(1).trace
     g = realize(Node(k2, k2, (0, 1)))
     assert g.order == 4 and g.num_edges == 4
-    assert all(g.degree(v) == 2 for v in range(4))
+    assert all(g.adj[v].bit_count() == 2 for v in range(4))
     assert g.is_connected()
 
 
 def test_oplus_reversed_matching_on_squares():
     q2 = hypercube(2).trace
     g = realize(Node(q2, q2, (3, 2, 1, 0)))
-    assert g.order == 8 and all(g.degree(v) == 3 for v in range(8))
+    assert g.order == 8 and all(g.adj[v].bit_count() == 3 for v in range(8))
     assert g.is_connected()
 
 
@@ -72,7 +72,7 @@ def test_hypercube_tiny():
 def test_hypercube_q3_shape(q3):
     g = q3.graph
     assert g.order == 8 and g.num_edges == 12
-    assert all(g.degree(v) == 3 for v in range(8))
+    assert all(g.adj[v].bit_count() == 3 for v in range(8))
 
 
 def test_hypercube_adjacency_is_hamming(q4):
@@ -122,7 +122,7 @@ def test_random_hl_shape():
         hl = random_hl(4, seed)
         g = hl.graph
         assert g.order == 16 and g.num_edges == 32
-        assert all(g.degree(v) == 4 for v in range(16))
+        assert all(g.adj[v].bit_count() == 4 for v in range(16))
         assert g.is_connected()
 
 
@@ -194,7 +194,7 @@ def test_realize_caps_the_depth_on_every_path(trace, path):
 def test_realized_members_are_regular_connected(hl):
     g = hl.graph
     assert g.order == 1 << hl.n
-    assert all(g.degree(v) == hl.n for v in range(g.order))
+    assert all(a.bit_count() == hl.n for a in g.adj)
     assert g.is_connected()
 
 
@@ -203,7 +203,7 @@ def test_fifty_seeded_traces_up_to_dimension_eight():
         n = 2 + i % 7  # dimensions 2..8
         hl = random_hl(n, 1000 + i)
         assert hl.graph.order == 1 << n
-        assert all(hl.graph.degree(v) == n for v in range(hl.graph.order))
+        assert all(a.bit_count() == n for a in hl.graph.adj)
         assert hl.graph.is_connected()
 
 
@@ -252,7 +252,7 @@ def test_from_trace_entry_point_for_custom_matchings():
     twisted = Node(square, square, (3, 2, 1, 0))
     hl = from_trace(twisted, label="twisted3")
     assert hl.n == 3 and hl.label == "twisted3"
-    assert all(hl.graph.degree(v) == 3 for v in range(8))
+    assert all(hl.graph.adj[v].bit_count() == 3 for v in range(8))
 
 
 # -- blocks and levels ---------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_edge_levels_partition_into_equal_matchings(hl):
 def test_fig1_shape(fig1):
     g = fig1.graph
     assert g.order == 16 and g.num_edges == 32
-    assert all(g.degree(v) == 4 for v in range(16))
+    assert all(g.adj[v].bit_count() == 4 for v in range(16))
     assert g.is_connected()
 
 

@@ -259,6 +259,23 @@ def test_verify_theorem_takes_method_and_budget(q4_trace, capsys):
     assert capsys.readouterr().out.count("holds") == 4
 
 
+@pytest.mark.parametrize("kind", [("hypercube", "--n", 3), ("fig1",)],
+                         ids=["Q3", "fig1"])
+def test_verify_theorem_output_is_identical_across_methods(tmp_path, capsys,
+                                                           kind):
+    trace = tmp_path / "g.trace"
+    assert run("generate", "--kind", *kind, "--out", tmp_path / "g.graph",
+               "--trace", trace) == 0
+    capsys.readouterr()
+    outputs = set()
+    for method in ("exhaustive", "branch-and-bound"):
+        out = tmp_path / f"r-{method}.jsonl"
+        assert run("verify", "--lemma", "thm", "--trace", trace, "--h", "all",
+                   "--method", method, "--out", out) == 0
+        outputs.add((out.read_bytes(), capsys.readouterr().out))
+    assert len(outputs) == 1
+
+
 def test_verify_level_out_of_range(q4_trace):
     assert run("verify", "--lemma", "3.7", "--trace", q4_trace, "--h", 5) == 2
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport,
-                   IncompleteSearchError, Nonexistent, UsageError,
-                   canonical_cut, fig1_graph, hypercube, is_h_edge_cut,
-                   lambda_sh_exact, mask_of, random_hl)
+from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, IncompleteSearchError,
+                   UsageError, canonical_cut, fig1_graph, hypercube,
+                   is_h_edge_cut, lambda_sh_exact, mask_of, random_hl)
 from hlcut import cuts
 from hlcut.graph import Graph
 
@@ -91,7 +90,7 @@ def test_small_hypercube_values(q3, q4):
 
 def test_square_has_no_2_cut(q2):
     result = lambda_sh_exact(q2.graph, 2)
-    assert isinstance(result, Nonexistent)
+    assert result.value is None
     assert result.subsets_examined == 7
 
 
@@ -180,8 +179,8 @@ def test_methods_and_threads_agree(q3, fig1):
                        for m in (EXHAUSTIVE, BRANCH_AND_BOUND)]
             baseline = reports[0]
             for r in reports[1:]:
-                if isinstance(baseline, Nonexistent):
-                    assert isinstance(r, Nonexistent)
+                if baseline.value is None:
+                    assert r.value is None
                 else:
                     assert (r.value, r.witness_side, r.witness_cut) == \
                         (baseline.value, baseline.witness_side, baseline.witness_cut)
@@ -198,8 +197,8 @@ def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
     for h in range(min(a.bit_count() for a in g.adj) + 2):
         oracle = lambda_sh_exact(g, h, method=EXHAUSTIVE)
         report = lambda_sh_exact(g, h, method=BRANCH_AND_BOUND)
-        if isinstance(oracle, Nonexistent):
-            assert isinstance(report, Nonexistent)
+        if oracle.value is None:
+            assert report.value is None
         else:
             assert (report.value, report.witness_side) == \
                 (oracle.value, oracle.witness_side)
@@ -210,8 +209,7 @@ def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
 def test_exhaustive_matches_reference_min_cut(g):
     for h in range(min(a.bit_count() for a in g.adj) + 2):
         report = lambda_sh_exact(g, h, method=EXHAUSTIVE)
-        found = (None, None) if isinstance(report, Nonexistent) \
-            else (report.value, report.witness_side)
+        found = (report.value, report.witness_side)
         assert found == reference_min_cut(g.order, g.edges(), h)
 
 
@@ -347,7 +345,7 @@ def test_solver_witness_is_always_a_valid_cut(hl):
         return
     for h in range(hl.n):
         report = lambda_sh_exact(hl.graph, h)
-        assert isinstance(report, CutReport)
+        assert report.value is not None
         assert is_h_edge_cut(hl.graph, report.witness_cut, h)
         assert report.value == (1 << h) * (hl.n - h)
 

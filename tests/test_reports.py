@@ -78,5 +78,4 @@ def test_parsers_return_or_raise_usage_error(text):
 def test_volatile_fields_stay_out_of_the_wire_format(q3):
     a = lambda_sh_exact(q3.graph, 1, method="exhaustive")
     b = lambda_sh_exact(q3.graph, 1, method="branch-and-bound")
-    assert a.method != b.method
     assert dumps_report(a) == dumps_report(b)

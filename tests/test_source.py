@@ -1,6 +1,7 @@
 """Source hygiene the stdlib can check: every name a package module imports
-is used in that module. `__init__.py` only re-exports, and `__future__`
-imports are directives, so both are exempt."""
+is used in that module, and every public method of a package class is used
+by package code. `__init__.py` only re-exports, and `__future__` imports are
+directives, so both are exempt from the import check."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import pytest
 
 import hlcut
 
-MODULES = sorted(p for p in Path(hlcut.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(hlcut.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.AST) -> dict[str, int]:
@@ -47,3 +48,23 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_public_method_is_used_by_the_package():
+    # a method only tests call is a test helper, and belongs in the tests
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    attributes = [node for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    unused = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(a.attr == fn.name and id(a) not in own
+                           for a in attributes):
+                    unused.append(f"{name}: {cls.name}.{fn.name}")
+    assert not unused, f"public methods no package code uses: {unused}"
