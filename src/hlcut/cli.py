@@ -3,7 +3,8 @@ bound verifiers, print reproduction tables, and write machine-readable
 reports.
 
 Exit codes: 0 all checks pass, 1 verified mismatch or counterexample,
-2 usage error, 3 incomplete search (budget exhausted), 4 internal error.
+2 usage error, 3 incomplete search (budget exhausted or interrupted),
+4 internal error.
 """
 
 from __future__ import annotations

@@ -13,8 +13,18 @@ partial assignment by two lower bounds on every completion's cut: the edges
 already cut, and the value of an X->Y max-flow (any completion's cut
 separates the assigned X from the assigned Y, so it is at least that value).
 The flow is kept incrementally: a node starts from its parent's flow, which
-stays feasible with the same value because the newly assigned vertex was
-free, with inflow equal to outflow.
+stays feasible with the same value because every newly assigned vertex was
+free, with inflow equal to outflow. A child searches for augmenting paths
+again from X when a new Y vertex lies in the parent's residual reach, from
+the new X vertices outside that reach when there are some, and not at all
+otherwise.
+
+Degree propagation forces moves: an assigned vertex with exactly h
+neighbours that are free or on its own side pulls its free neighbours to its
+side, to a fixpoint, and a vertex left with fewer than h fails the branch. A
+forced move drops only completions in which some vertex ends below degree
+h, so the search still meets the feasible cuts in the same order, and the
+result and its witness are exact.
 """
 
 from __future__ import annotations
@@ -95,9 +105,9 @@ def _augment(adj, out, x, y, value, limit, frontier, seen):
     `limit` or no augmenting path is left. Returns the new value and, when
     it is below `limit`, the vertices the residual graph reaches from X.
     The first search starts from `frontier` with `seen` already visited:
-    both X for a search from scratch, or a vertex new to X and that vertex
-    plus the reach from the rest of X under a maximum flow. Later searches
-    start from X.
+    both X for a search from scratch, or the vertices new to X outside the
+    reach R of the rest of X under a maximum flow, and R plus every new X
+    vertex. Later searches start from X.
 
     Bit w of out[u] is one unit on u->w, and no edge carries flow both ways,
     so the residual arc u->w exists iff w is adjacent to u and that bit is
@@ -140,6 +150,41 @@ def _augment(adj, out, x, y, value, limit, frontier, seen):
     return value, None
 
 
+def _force(adj, x, y, cut, limit, h, check):
+    """Close the partial assignment (x, y) under forced moves. Every
+    assigned vertex must keep at least h neighbours that are free or on its
+    own side; one with exactly h pulls its free neighbours to its side, and
+    each pulled vertex adds its edges to the other side to `cut`. `check`
+    holds the vertices whose count may have changed: the ones newly
+    assigned and their neighbours on the other side. Returns the closed
+    (x, y, cut), or None when a vertex falls below h or the cut reaches
+    `limit`."""
+    if cut >= limit:
+        return None
+    while check:
+        b = check & -check
+        check ^= b
+        in_x = x & b
+        own, other = (x, y) if in_x else (y, x)
+        room = adj[b.bit_length() - 1] & ~other
+        k = room.bit_count()
+        if k < h:
+            return None
+        if k == h:
+            pull = room & ~own
+            own |= pull
+            while pull:
+                c = pull & -pull
+                pull ^= c
+                across = adj[c.bit_length() - 1] & other
+                cut += across.bit_count()
+                check |= c | across
+            if cut >= limit:
+                return None
+            x, y = (own, other) if in_x else (other, own)
+    return x, y, cut
+
+
 def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     """Cheapest side X with cut < `limit`, deciding the vertices of `vorder`
     in that order; the anchor 0 is pre-assigned to the complement Y.
@@ -152,25 +197,31 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     value of an X->Y flow. Every completion cuts an edge set separating the
     assigned X from the assigned Y, so by max-flow/min-cut it cuts at least
     as many edges as any X->Y flow carries; a node whose flow reaches
-    `limit` has no completion below it. Each node carries a unit flow
-    (see `_augment`) and its value, and augments only up to `limit`. The
-    branched vertex v was free, so its inflow equals its outflow and the
-    parent's flow stays feasible, with the same value, once v joins X or Y:
-    the Y child (explored first) reuses the parent's list and the X child a
-    copy. A maximum flow also leaves the set R its residual graph reaches
-    from X, which holds no Y vertex and has no residual arc leaving it;
-    every maximum flow has the same value and the same R, so no decision
-    depends on which paths `_augment` pushes. So
-    the Y child has an augmenting path iff v is in R, and the X child can
-    only have one from v, outside R; the other child's flow is still
-    maximum and keeps R. Degree
-    propagation: every assigned vertex must keep at least h neighbours that
-    are unassigned or on its own side, so a branch is dropped when the
-    vertex it assigns falls short, or when one of that vertex's neighbours
-    on the other side does. Only subtrees without a completion below
-    `limit` that keeps every degree at h are pruned, so the result is exact.
+    `limit` has no completion below it.
+
+    Each child is closed under `_force`, seeded with the branched vertex and
+    its neighbours on the other side, and vertices of `vorder` already
+    assigned are skipped. A forced move drops only completions in which some
+    vertex ends below degree h, and skipping a vertex only fixes its side,
+    so the search meets the feasible leaves in the same order as without
+    forcing: the value and the witness side are exact.
+
+    Each node carries a unit flow (see `_augment`) and its value, and
+    augments only up to `limit`. Every newly assigned vertex was free, with
+    inflow equal to outflow, so the parent's flow stays feasible with the
+    same value: the Y child (explored first) reuses the parent's list and
+    the X child a copy. A maximum flow also leaves the set R its residual
+    graph reaches from X, which holds no Y vertex and has no residual arc
+    leaving it; every maximum flow has the same value and the same R, so no
+    decision depends on which paths `_augment` pushes. A child's search
+    starts again from X if a new Y vertex lies in R; else from the new X
+    vertices outside R, with R and the new X visited, if there are any;
+    else the flow is still maximum and R stays.
+
     The search stops once an incumbent reaches `floor`, a value known to be
-    minimal; a budget expiry hands back the incumbent and its side."""
+    minimal. A budget expiry or a KeyboardInterrupt raises
+    IncompleteSearchError with the incumbent and its side; an interrupt
+    carries budget None."""
     depth = len(vorder)
     best = None
     best_side = None
@@ -181,42 +232,52 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     # seen visited, and a zero start marks a maximum flow whose residual
     # graph reaches exactly seen from X; Y is explored first
     stack = [(0, 0, 1, 0, [0] * len(adj), 0, 0, 0)]
-    while stack:
-        i, x, y, cut, out, value, start, seen = stack.pop()
-        examined += 1
-        if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
-                and monotonic() > deadline:
-            raise IncompleteSearchError(h, best, best_side, examined, 0.0)
-        if cut >= limit:
-            continue
-        if i == depth:
-            if x and keeps_degree(adj, x, x, h) and keeps_degree(adj, y, y, h):
-                best = limit = cut
-                best_side = x
-                if cut <= floor:
-                    break
-            continue
-        if start:
-            value, seen = _augment(adj, out, x, y, value, limit, start, seen)
-        if value >= limit:
-            continue
-        v = vorder[i]
-        bit = 1 << v
-        a = adj[v]
-        # X branch (pushed first, explored second)
-        cut_x = cut + (a & y).bit_count()
-        if cut_x < limit and (a & ~y).bit_count() >= h \
-                and keeps_degree(adj, a & y, ~(x | bit), h):
-            # a path from v to Y avoids the closed, Y-free reach of X
-            stack.append((i + 1, x | bit, y, cut_x, out[:], value,
-                          *((0, seen) if seen & bit else (bit, seen | bit))))
-        # Y branch
-        cut_y = cut + (a & x).bit_count()
-        if cut_y < limit and (a & ~x).bit_count() >= h \
-                and keeps_degree(adj, a & x, ~(y | bit), h):
-            # v is a new sink: a path exists iff X reaches v
-            stack.append((i + 1, x, y | bit, cut_y, out, value,
-                          *((x, x) if seen & bit else (0, seen))))
+    try:
+        while stack:
+            i, x, y, cut, out, value, start, seen = stack.pop()
+            examined += 1
+            if deadline is not None \
+                    and not examined & (_TIME_CHECK_INTERVAL - 1) \
+                    and monotonic() > deadline:
+                raise IncompleteSearchError(h, best, best_side, examined, 0.0)
+            if cut >= limit:
+                continue
+            while i < depth and (x | y) >> vorder[i] & 1:
+                i += 1
+            if i == depth:
+                if x and keeps_degree(adj, x, x, h) \
+                        and keeps_degree(adj, y, y, h):
+                    best = limit = cut
+                    best_side = x
+                    if cut <= floor:
+                        break
+                continue
+            if start:
+                value, seen = _augment(adj, out, x, y, value, limit, start,
+                                       seen)
+            if value >= limit:
+                continue
+            bit = 1 << vorder[i]
+            a = adj[bit.bit_length() - 1]
+            # the X child is pushed first and explored second
+            for cx, cy, across in ((x | bit, y, a & y), (x, y | bit, a & x)):
+                child = _force(adj, cx, cy, cut + across.bit_count(), limit,
+                               h, bit | across)
+                if child is None:
+                    continue
+                cx, cy, child_cut = child
+                new_x = cx & ~x
+                if cy & ~y & seen:
+                    warm = (cx, cx)
+                elif new_x & ~seen:
+                    warm = (new_x & ~seen, seen | new_x)
+                else:
+                    warm = (0, seen)
+                stack.append((i + 1, cx, cy, child_cut,
+                              out[:] if cx & bit else out, value, *warm))
+    except KeyboardInterrupt:
+        raise IncompleteSearchError(h, best, best_side, examined,
+                                    None) from None
     return best, best_side, examined
 
 
@@ -274,9 +335,10 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
     except IncompleteSearchError as exc:
         if best is None:  # otherwise the value phase's side attains `best`
             best, best_mask = exc.best_value, exc.best_side
-        raise IncompleteSearchError(h, best, best_mask,
-                                    examined + exc.subsets_examined,
-                                    budget if budget is not None else 0.0) from None
+        # an interrupt (budget None) stays one; an expiry names the budget
+        raise IncompleteSearchError(
+            h, best, best_mask, examined + exc.subsets_examined,
+            None if exc.budget is None else budget) from None
     if best is None:
         return CutReport(h, None, None, None, examined)
     witness_cut = g.edge_boundary(best_mask)

@@ -25,18 +25,21 @@ class TraceError(UsageError):
 
 
 class IncompleteSearchError(RuntimeError):
-    """A budgeted search ran out of time before finishing.
+    """A search stopped before finishing: its budget ran out, or it was
+    interrupted (Ctrl-C), which `budget` None marks.
 
     Carries the best incumbent found so far so callers never mistake a
     partial answer for a complete one.
     """
 
     def __init__(self, h: int, best_value: int | None, best_side: int | None,
-                 subsets_examined: int, budget: float):
+                 subsets_examined: int, budget: float | None):
         side = None if best_side is None else sorted(
             v for v in range(best_side.bit_length()) if best_side >> v & 1)
+        cause = "interrupted" if budget is None \
+            else f"incomplete after budget of {budget:g}s"
         super().__init__(
-            f"search incomplete after budget of {budget:g}s "
+            f"search {cause} "
             f"(h={h}, best incumbent so far: {best_value}, side={side}, "
             f"examined={subsets_examined})")
         self.h = h

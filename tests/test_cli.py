@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlcut import (fig1_graph, graph_to_text, hypercube, parse_report_lines,
-                   random_hl, read_graph, read_trace, realize, trace_to_text,
-                   write_graph)
-from hlcut import cli
+from hlcut import (fig1_graph, graph_to_text, hypercube, is_h_edge_cut,
+                   mask_of, parse_report_lines, random_hl, read_graph,
+                   read_trace, realize, trace_to_text, write_graph)
+from hlcut import cli, cuts
 from hlcut.cli import main
 from hlcut.graph import MAX_ORDER
 
@@ -156,19 +157,50 @@ def test_solve_oversized_header_is_a_usage_error(tmp_path, order):
 
 
 def test_solve_budget_exhaustion_exit_code(tmp_path):
-    path = tmp_path / "hl6.graph"
-    # h=3 completes in about 1 s and ~54k nodes, far past the 0.02 s
+    path = tmp_path / "hl7.graph"
+    # h=3 takes about 150k nodes and several seconds, far past the 0.02 s
     # budget; the first deadline check comes at node 4096
-    write_graph(path, random_hl(6, 1).graph)
+    write_graph(path, random_hl(7, 1).graph)
     assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02,
                "--method", "branch-and-bound") == 3
+
+
+def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
+                                                     monkeypatch):
+    # Ctrl-C during level 2, after levels 0 and 1 have finished
+    augment = cuts._augment
+
+    def interrupt_at_level_two(adj, out, x, y, value, limit, *rest):
+        if limit == 12 + 1:  # the witness phase of level 2
+            raise KeyboardInterrupt
+        return augment(adj, out, x, y, value, limit, *rest)
+
+    monkeypatch.setattr(cuts, "_augment", interrupt_at_level_two)
+    path = tmp_path / "q5.graph"
+    out = tmp_path / "reports.jsonl"
+    g = hypercube(5).graph
+    write_graph(path, g)
+    assert run("solve", "--graph", path, "--h", "all", "--method",
+               "branch-and-bound", "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "h   value         formula   match",
+        "0   5             5         yes",
+        "1   8             8         yes"]
+    found = re.search(r"search interrupted \(h=2, best incumbent so far: "
+                      r"(\d+), side=(\[[\d, ]*\])", captured.err)
+    assert found
+    value, side = int(found[1]), mask_of(json.loads(found[2]))
+    assert value == len(g.edge_boundary(side)) == 12
+    assert is_h_edge_cut(g, g.edge_boundary(side), 2)
+    assert not out.exists()
 
 
 def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
     path = tmp_path / "hl6.graph"
     out = tmp_path / "reports.jsonl"
-    # h=0 and h=1 finish in 192 and 2 752 nodes, before the first deadline
-    # check at node 4096; h=2 needs more and expires at that check
+    # h=0 and h=1 finish in 192 and 1 094 nodes, before the first deadline
+    # check at node 4096; h=2 needs 5 988 and expires at that check
     write_graph(path, random_hl(6, 1).graph)
     assert run("solve", "--graph", path, "--h", "all", "--method",
                "branch-and-bound", "--budget", 0, "--out", out) == 3

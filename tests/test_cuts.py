@@ -206,6 +206,17 @@ def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs().filter(Graph.is_connected))
+def test_branch_and_bound_matches_reference_min_cut(g):
+    # forced moves may drop only completions that leave some vertex below
+    # degree h, so value and lexmin side match the plain loop
+    for h in range(min(a.bit_count() for a in g.adj) + 2):
+        report = lambda_sh_exact(g, h, method=BRANCH_AND_BOUND)
+        found = (report.value, report.witness_side)
+        assert found == reference_min_cut(g.order, g.edges(), h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs().filter(Graph.is_connected))
 def test_exhaustive_matches_reference_min_cut(g):
     for h in range(min(a.bit_count() for a in g.adj) + 2):
         report = lambda_sh_exact(g, h, method=EXHAUSTIVE)
@@ -214,22 +225,72 @@ def test_exhaustive_matches_reference_min_cut(g):
 
 
 def test_branch_and_bound_node_count_on_q5():
-    # degree propagation keeps every level of Q5 small; without it the
-    # sweep needs about 23M nodes
+    # degree propagation keeps every level of Q5 small: 1 614 nodes in all
+    # with forced moves, 6 033 with pruning alone, and about 23M without it
     q5 = hypercube(5)
     total = sum(lambda_sh_exact(q5.graph, h, method=BRANCH_AND_BOUND)
                 .subsets_examined for h in range(5))
-    assert total < 100_000
+    assert total < 3_000
 
 
 def test_branch_and_bound_dimension_six_mid_level():
-    # the X->Y flow bound proves the level-3 optimum; with the cut-so-far
-    # bound alone Q6 needs about 6.4M nodes
+    # the flow bound and forced moves prove the level-3 optimum in 6 694
+    # nodes; without forcing Q6 needs 60 153, and with the cut-so-far bound
+    # alone about 6.4M
     q6 = lambda_sh_exact(hypercube(6).graph, 3, method=BRANCH_AND_BOUND)
     assert (q6.value, q6.witness_side) == (24, 0xAAAA)
-    assert q6.subsets_examined < 150_000
+    assert q6.subsets_examined < 15_000
     hl6 = lambda_sh_exact(random_hl(6, 1).graph, 3, method=BRANCH_AND_BOUND)
     assert (hl6.value, hl6.witness_side) == (24, 0xFF00)
+
+
+def test_branch_and_bound_dimension_seven_mid_level():
+    # 126 539 nodes and about 9 s with forced moves; without them the search
+    # was still running after 3.1M nodes and 60 s
+    g = hypercube(7).graph
+    report = lambda_sh_exact(g, 4, method=BRANCH_AND_BOUND)
+    assert report.value == 48 == (1 << 4) * (7 - 4)
+    assert is_h_edge_cut(g, report.witness_cut, 4)
+    assert report.subsets_examined < 200_000
+
+
+# -- forced moves ----------------------------------------------------------------
+
+def _cycle(order: int) -> Graph:
+    return Graph.from_edges(order, [(v, (v + 1) % order) for v in range(order)])
+
+
+def _seed(adj, v: int, other: int) -> int:
+    """The vertices a branch on v checks first: v and its neighbours on the
+    other side."""
+    return 1 << v | adj[v] & other
+
+
+def test_force_runs_a_chain_to_its_fixpoint():
+    # h=1 on the 6-cycle with 1 in X and 0, 3 in Y: 1 pulls 2 into X, which
+    # leaves 3 with only 4 outside X, so 3 pulls 4 into Y, and 0 pulls 5
+    adj = _cycle(6).adj
+    x, y = 1 << 1, 1 << 0 | 1 << 3
+    assert cuts._force(adj, x, y, 1, 10, 1, _seed(adj, 1, y)) == \
+        (0b000110, 0b111001, 2)
+    # at h=0 nothing is forced
+    assert cuts._force(adj, x, y, 1, 10, 0, _seed(adj, 1, y)) == (x, y, 1)
+
+
+def test_force_fails_when_a_vertex_falls_below_h():
+    # a star around the anchor: a leaf in X keeps no neighbour off Y
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).adj
+    assert cuts._force(star, 1 << 1, 1, 1, 10, 1, _seed(star, 1, 1)) is None
+    assert cuts._force(star, 1 << 1, 1, 1, 10, 0, _seed(star, 1, 1)) == \
+        (1 << 1, 1, 1)
+
+
+def test_force_fails_when_forced_edges_reach_the_limit():
+    # the chain above cuts 2 edges: pulling 2 into X cuts edge 2-3
+    adj = _cycle(6).adj
+    x, y = 1 << 1, 1 << 0 | 1 << 3
+    assert cuts._force(adj, x, y, 1, 2, 1, _seed(adj, 1, y)) is None
+    assert cuts._force(adj, x, y, 1, 3, 1, _seed(adj, 1, y)) is not None
 
 
 # -- the flow bound ------------------------------------------------------------------
@@ -304,18 +365,21 @@ def test_flow_bound_equals_the_minimum_separating_cut(case, data):
     # the augmentation stops at the limit
     limit = data.draw(st.integers(0, value))
     assert cuts._augment(g.adj, [0] * g.order, x, y, 0, limit, x, x)[0] == limit
-    # warm start as the search does it: the flow stays feasible when a free
-    # vertex joins a side, and the reach says where a new path can start
-    free = [v for v in range(g.order) if not (x | y) >> v & 1]
-    if not free:
-        return
-    bit = 1 << data.draw(st.sampled_from(free))
-    if data.draw(st.booleans()):
-        x |= bit
-        start, seen = (0, reach) if reach & bit else (bit, reach | bit)
+    # warm start as the search does it after a branch and its forced
+    # moves: the flow stays feasible when free vertices join either side,
+    # and the reach says where a new path can start
+    roles = data.draw(st.lists(st.sampled_from("XYF"), min_size=g.order,
+                               max_size=g.order))
+    free = ~(x | y)
+    new_x = free & sum(1 << v for v, r in enumerate(roles) if r == "X")
+    new_y = free & sum(1 << v for v, r in enumerate(roles) if r == "Y")
+    x, y = x | new_x, y | new_y
+    if new_y & reach:
+        start, seen = x, x
+    elif new_x & ~reach:
+        start, seen = new_x & ~reach, reach | new_x
     else:
-        y |= bit
-        start, seen = (x, x) if reach & bit else (0, reach)
+        start, seen = 0, reach
     _assert_unit_flow(g, out, x, y, value)
     warm = value
     if start:
@@ -396,18 +460,18 @@ def test_zero_and_infinite_budgets_accepted(q3):
 
 
 def test_budget_exhaustion_raises_incomplete():
-    # h=3 completes in about 1 s and ~54k nodes, far past the 0.02 s
-    # budget; the incumbent arrives long before the first deadline check,
-    # at node 4096
-    hl6 = random_hl(6, 1)
+    # the value phase of h=3 takes about 146k nodes and several seconds,
+    # far past the 0.02 s budget; the incumbent arrives at node 129, long
+    # before the first deadline check at node 4096
+    hl7 = random_hl(7, 1)
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(hl6.graph, 3, method=BRANCH_AND_BOUND, budget=0.02)
+        lambda_sh_exact(hl7.graph, 3, method=BRANCH_AND_BOUND, budget=0.02)
     assert err.value.budget == 0.02
     assert err.value.subsets_examined > 0
 
 
 def test_budget_exhaustion_branch_and_bound_carries_witness():
-    g = random_hl(6, 1).graph
+    g = random_hl(7, 1).graph
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 3, method=BRANCH_AND_BOUND, budget=0.05)
     # the first incumbent arrives before the first deadline check
@@ -436,6 +500,27 @@ def test_witness_phase_expiry_hands_back_the_value_phase_side(monkeypatch):
     assert value == 8 and len(g.edge_boundary(side)) == 8
     assert err.value.subsets_examined == nodes + 7  # both phases
     assert err.value.budget == 60.0
+
+
+def test_interrupt_hands_back_the_incumbent(monkeypatch):
+    # Ctrl-C in the middle of the value phase, after its first leaf
+    augment = cuts._augment
+    calls = []
+
+    def interrupted_after_five(*args):
+        calls.append(None)
+        if len(calls) > 5:
+            raise KeyboardInterrupt
+        return augment(*args)
+
+    monkeypatch.setattr(cuts, "_augment", interrupted_after_five)
+    g = hypercube(5).graph
+    with pytest.raises(IncompleteSearchError, match="interrupted") as err:
+        lambda_sh_exact(g, 2, method=BRANCH_AND_BOUND)
+    side = err.value.best_side
+    assert err.value.budget is None
+    assert err.value.best_value == len(g.edge_boundary(side)) == 12
+    assert is_h_edge_cut(g, g.edge_boundary(side), 2)
 
 
 def test_budget_exhaustion_exhaustive_carries_incumbent():
