@@ -257,8 +257,9 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
                                        seen)
             if value >= limit:
                 continue
-            bit = 1 << vorder[i]
-            a = adj[bit.bit_length() - 1]
+            v = vorder[i]
+            bit = 1 << v
+            a = adj[v]
             # the X child is pushed first and explored second
             for cx, cy, across in ((x | bit, y, a & y), (x, y | bit, a & x)):
                 child = _force(adj, cx, cy, cut + across.bit_count(), limit,
