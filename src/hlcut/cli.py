@@ -131,17 +131,22 @@ def cmd_verify(args) -> int:
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
+    if args.lemma == "thm":
+        # one search per level, so each row prints as its level finishes
+        found = (checker(hl, h, override_gate=args.override_gate, **search)
+                 for h in levels)
+    else:
+        found = checker(hl, levels, override_gate=args.override_gate).verdicts
     verdicts: list[LemmaVerdict] = []
-    for h in levels:
-        v = checker(hl, h, override_gate=args.override_gate, **search)
+    for v in found:
         verdicts.append(v)
         status = "holds" if v.holds else "FAILS"
         extra = ""
         if v.counterexample is not None:
             extra = f" counterexample={vertex_list(v.counterexample)}"
-        print(f"{v.lemma_id}  {v.graph_id}  h={h}: {status} "
+        print(f"{v.lemma_id}  {v.graph_id}  h={v.h}: {status} "
               f"(subsets={v.subsets_checked}, tight={v.tight_witnesses})"
-              + extra)
+              + extra, flush=True)
     if args.out is not None:
         write_reports(args.out, verdicts)
     return OK if all(v.holds for v in verdicts) else MISMATCH
@@ -225,6 +230,11 @@ def main(argv=None) -> int:
         return USAGE
     except IncompleteSearchError as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
+        return INCOMPLETE
+    except KeyboardInterrupt:
+        # Ctrl-C in a scan with no incumbent to hand back; branch-and-bound
+        # turns it into an IncompleteSearchError above
+        print("incomplete: interrupted", file=sys.stderr)
         return INCOMPLETE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

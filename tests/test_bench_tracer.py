@@ -37,3 +37,23 @@ def test_tracer_wraps_the_verify_path_and_puts_it_back(tmp_path, monkeypatch,
     assert recorded["check_lemma_32"].info == {"subsets": 255}
     assert cli.check_lemma_32 is check
     assert cli._LEMMA_CHECKS is table
+
+
+def test_tracer_records_one_lemma_span_per_job(tmp_path, monkeypatch, capsys):
+    # `--h all` decides every level in one walk, so one span counts 2^8 - 1
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    trace = tmp_path / "q3.trace"
+    write_trace(trace, hypercube(3).trace)
+    tracer = spans.Tracer()
+    tracer.install(cli, lemmas)
+    try:
+        assert main(["verify", "--lemma", "3.5", "--trace", str(trace),
+                     "--h", "all"]) == 0
+    finally:
+        tracer.uninstall()
+    assert len(capsys.readouterr().out.splitlines()) == 3  # h = 0, 1, 2
+    scans = [s for s in tracer.spans if s.name == "check_lemma_35"]
+    assert len(scans) == 1
+    assert scans[0].info == {"subsets": 255}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hlcut import (fig1_graph, graph_to_text, hypercube, is_h_edge_cut,
                    mask_of, parse_report_lines, random_hl, read_graph,
                    read_trace, realize, trace_to_text, write_graph)
-from hlcut import cli, cuts
+from hlcut import cli, cuts, kappa, lemmas
 from hlcut.cli import main
 from hlcut.graph import MAX_ORDER
 
@@ -196,6 +196,64 @@ def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
     assert not out.exists()
 
 
+def _interrupted_after(calls, real):
+    """`real`, a generator function, whose call after the first `calls`
+    raises KeyboardInterrupt as its first step, as a Ctrl-C mid-scan would."""
+    made = []
+
+    def interrupting(*args):
+        made.append(args)
+        if len(made) > calls:
+            raise KeyboardInterrupt
+        yield from real(*args)
+    return interrupting
+
+
+def test_solve_exhaustive_interrupt_exits_3_and_keeps_the_rows(tmp_path,
+                                                               capsys,
+                                                               monkeypatch):
+    # Ctrl-C in the level-2 walk, after levels 0 and 1 have finished
+    monkeypatch.setattr(cuts, "boundary_walk",
+                        _interrupted_after(2, cuts.boundary_walk))
+    path = tmp_path / "q3.graph"
+    out = tmp_path / "reports.jsonl"
+    write_graph(path, hypercube(3).graph)
+    assert run("solve", "--graph", path, "--h", "all", "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "h   value         formula   match",
+        "0   3             3         yes",
+        "1   4             4         yes"]
+    assert captured.err == "incomplete: interrupted\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
+def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
+                                        monkeypatch, lemma):
+    monkeypatch.setattr(lemmas, "boundary_walk",
+                        _interrupted_after(0, lemmas.boundary_walk))
+    out = tmp_path / "verdicts.jsonl"
+    assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
+               "--out", out) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "incomplete: interrupted\n")
+    assert not out.exists()
+
+
+def test_kappa_interrupt_exits_3(tmp_path, capsys, monkeypatch):
+    # Ctrl-C in the size-3 class of a scan that would run to size 14
+    monkeypatch.setattr(kappa, "subsets_of_size",
+                        _interrupted_after(3, kappa.subsets_of_size))
+    path = tmp_path / "fig1.graph"
+    out = tmp_path / "kappa.jsonl"
+    write_graph(path, fig1_graph().graph)
+    assert run("kappa", "--graph", path, "--h", 3, "--out", out) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "incomplete: interrupted\n")
+    assert not out.exists()
+
+
 def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
     path = tmp_path / "hl6.graph"
     out = tmp_path / "reports.jsonl"
@@ -306,6 +364,25 @@ def test_verify_theorem_output_is_identical_across_methods(tmp_path, capsys,
                    "--method", method, "--out", out) == 0
         outputs.add((out.read_bytes(), capsys.readouterr().out))
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
+def test_verify_lemma_walks_once_for_every_level(q4_trace, capsys,
+                                                  monkeypatch, lemma):
+    walks = []
+    walk = lemmas.boundary_walk
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(lemmas, "boundary_walk", counting)
+    assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h",
+               "all") == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == (5 if lemma == "3.2" else 4)
+    assert all("holds (subsets=65535," in row for row in rows)
+    assert len(walks) == 1
 
 
 def test_verify_level_out_of_range(q4_trace):

@@ -29,7 +29,8 @@ def test_nonexistent_cut_line(q2):
 
 
 def test_lemma_line_round_trips(q4):
-    line = dumps_report(check_lemma_32(q4, 2))
+    (verdict,) = check_lemma_32(q4, [2]).verdicts
+    line = dumps_report(verdict)
     payload = parse_report(line)
     assert payload["lemma_id"] == "L3.2"
     assert payload["holds"] is True
