@@ -8,8 +8,7 @@ from .build import (FIG1_EDGES, FIG1_RELABEL, FIG1_TRACE, HlGraph, Leaf, Node,
                     block_vertices, fig1_graph, from_trace, hypercube,
                     identity_matching, random_hl, read_trace, realize,
                     trace_from_text, trace_to_text, write_trace)
-from .cuts import (BRANCH_AND_BOUND, EXHAUSTIVE, CutReport, canonical_cut,
-                   is_h_edge_cut, lambda_sh_exact)
+from .cuts import CutReport, canonical_cut, is_h_edge_cut, lambda_sh_exact
 from .errors import IncompleteSearchError, TraceError, UsageError
 from .graph import (Graph, MAX_ORDER, SOLVER_GATE, canonical_edge,
                     graph_from_text, graph_to_text, mask_of, read_graph,

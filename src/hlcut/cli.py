@@ -14,7 +14,7 @@ import sys
 
 from .build import (fig1_graph, from_trace, hypercube, random_hl, read_trace,
                     write_trace)
-from .cuts import BRANCH_AND_BOUND, EXHAUSTIVE, lambda_sh_exact
+from .cuts import lambda_sh_exact
 from .errors import IncompleteSearchError, UsageError
 from .graph import Graph, read_graph, vertex_list, write_graph
 from .kappa import kappa_sh_exact
@@ -94,8 +94,7 @@ def cmd_solve(args) -> int:
     reports = []
     mismatch = False
     for h in levels:
-        report = lambda_sh_exact(g, h, method=args.method, budget=args.budget,
-                                 override_gate=args.override_gate)
+        report = lambda_sh_exact(g, h, budget=args.budget)
         if not reports:
             print(f"{'h':<4}{'value':<14}{'formula':<10}{'match'}")
         reports.append(report)
@@ -123,18 +122,15 @@ _LEMMA_CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    search = {key: value for key, value in vars(args).items()
-              if key in ("method", "budget") and value is not None}
-    if search and args.lemma != "thm":
-        raise UsageError("--method and --budget apply only to --lemma thm")
+    if args.budget is not None and args.lemma != "thm":
+        raise UsageError("search budgets apply only to --lemma thm")
     trace = read_trace(args.trace)
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
     if args.lemma == "thm":
         # one search per level, so each row prints as its level finishes
-        found = (checker(hl, h, override_gate=args.override_gate, **search)
-                 for h in levels)
+        found = (checker(hl, h, budget=args.budget) for h in levels)
     else:
         found = checker(hl, levels, override_gate=args.override_gate).verdicts
     verdicts: list[LemmaVerdict] = []
@@ -187,27 +183,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact minimum degree-preserving cut")
     p.add_argument("--graph", required=True)
     p.add_argument("--h", required=True, help="level, or 'all'")
-    p.add_argument("--method", default=EXHAUSTIVE,
-                   choices=[EXHAUSTIVE, BRANCH_AND_BOUND])
+    # kept so that scripts naming the search still run; it has one value
+    p.add_argument("--method", default="branch-and-bound",
+                   choices=["branch-and-bound"])
     p.add_argument("--budget", type=float, default=None,
                    help="seconds before giving up with the incumbent")
     p.add_argument("--expect-theorem", action="store_true",
                    help="exit nonzero unless every value matches 2^h(n-h)")
     p.add_argument("--out", default=None, help="machine report file")
     p.add_argument("--override-gate", action="store_true",
-                   help="allow exhaustive scans beyond the default order "
-                        "gate; branch-and-bound is not gated")
+                   help="no effect: the search is bounded by --budget, not "
+                        "gated by order")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a subset bound or the equality")
     p.add_argument("--lemma", required=True, choices=sorted(_LEMMA_CHECKS))
     p.add_argument("--trace", required=True)
     p.add_argument("--h", required=True, help="level, or 'all'")
-    p.add_argument("--method", choices=[EXHAUSTIVE, BRANCH_AND_BOUND],
-                   help="--lemma thm only (default exhaustive)")
     p.add_argument("--budget", type=float, help="--lemma thm only")
     p.add_argument("--out", default=None)
-    p.add_argument("--override-gate", action="store_true")
+    p.add_argument("--override-gate", action="store_true",
+                   help="allow lemma scans beyond the default order gate")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kappa", help="vertex-variant existence and value")

@@ -6,9 +6,10 @@ boundary of a single side X (dropping any further edges from a cut leaves a
 smaller cut with the same component), so the search space is bipartitions:
 nonempty X not containing the anchor vertex 0, with min degree >= h inside X
 and inside its complement. Tie-break among minimum cuts: the lexicographically
-smallest witness-side bitmask; both methods return it.
+smallest witness-side bitmask.
 
-Branch-and-bound assigns vertices to X or to the anchor's side Y and prunes a
+The search is branch-and-bound, bounded by a budget rather than by an
+order gate. It assigns vertices to X or to the anchor's side Y and prunes a
 partial assignment by two lower bounds on every completion's cut: the edges
 already cut, and the value of an X->Y max-flow (any completion's cut
 separates the assigned X from the assigned Y, so it is at least that value).
@@ -34,12 +35,7 @@ from dataclasses import dataclass
 
 from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
-from .graph import (Edge, Graph, boundary_walk, check_gate, connected_within,
-                    keeps_degree)
-
-EXHAUSTIVE = "exhaustive"
-BRANCH_AND_BOUND = "branch-and-bound"
-METHODS = (EXHAUSTIVE, BRANCH_AND_BOUND)
+from .graph import Edge, Graph, connected_within, keeps_degree
 
 _TIME_CHECK_INTERVAL = 4096
 
@@ -72,30 +68,6 @@ def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
     if not 0 <= h <= hl.n - 1:
         raise UsageError(f"canonical cut level {h} outside 0..{hl.n - 1}")
     return hl.graph.edge_boundary(block_vertices(hl, h))
-
-
-# -- exhaustive scan ----------------------------------------------------------
-
-def _exhaustive(adj, order, h, deadline):
-    """Walk every nonempty X among the vertices 1..order-1, so X never
-    contains the anchor vertex 0, and keep the smallest cut whose sides both
-    keep min degree >= h, the smallest mask among equal cuts. Only a subset
-    that would beat the incumbent is tested. Returns (best_value, best_mask,
-    examined)."""
-    full = (1 << order) - 1
-    best = best_mask = None
-    examined = 0
-    monotonic = time.monotonic
-    for x, _, cut in boundary_walk(adj, 1):
-        examined += 1
-        if deadline is not None and not examined & (_TIME_CHECK_INTERVAL - 1) \
-                and monotonic() > deadline:
-            raise IncompleteSearchError(h, best, best_mask, examined, 0.0)
-        if (best is None or cut < best or (cut == best and x < best_mask)) \
-                and keeps_degree(adj, x, x, h) \
-                and keeps_degree(adj, full ^ x, full ^ x, h):
-            best, best_mask = cut, x
-    return best, best_mask, examined
 
 
 # -- branch and bound ---------------------------------------------------------
@@ -282,29 +254,21 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     return best, best_side, examined
 
 
-def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
-                    budget: float | None = None,
-                    override_gate: bool = False) -> CutReport:
+def lambda_sh_exact(g: Graph, h: int,
+                    budget: float | None = None) -> CutReport:
     """Exact minimum size of an edge cut leaving both sides at minimum degree
     >= h, with a witness side; value None after a complete search finds no
     such cut.
 
-    Exhaustive enumerates all anchored bipartitions. Branch-and-bound
-    computes the exact value first and then reconstructs the
-    lexicographically smallest witness, so both methods return the same
-    value and witness. Only exhaustive scans are gated by order
-    (`override_gate` lifts the gate); branch-and-bound is bounded by the
-    budget instead. A budget (seconds) turns an overlong search into
-    IncompleteSearchError carrying the best incumbent."""
+    Branch-and-bound computes the exact value first and then reconstructs
+    the lexicographically smallest witness. A budget (seconds) turns an
+    overlong search into IncompleteSearchError carrying the best
+    incumbent."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if budget is not None and not budget >= 0:  # also rejects NaN
         raise UsageError(f"budget must be a nonnegative number of seconds, "
                          f"got {budget}")
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == EXHAUSTIVE:
-        check_gate(g.order, override_gate)
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
     deadline = time.monotonic() + budget if budget is not None else None
@@ -316,23 +280,19 @@ def lambda_sh_exact(g: Graph, h: int, method: str = EXHAUSTIVE,
     best = best_mask = None
     examined = 0
     try:
-        if method == EXHAUSTIVE:
-            best, best_mask, examined = _exhaustive(adj, g.order, h, deadline)
-        else:
-            # value phase; a connected graph has no cut below 1
-            by_degree = sorted(range(1, g.order),
-                               key=lambda v: (-adj[v].bit_count(), v))
-            best, best_mask, examined = _branch_and_bound(
-                adj, by_degree, h, g.num_edges + 1, 1, deadline)
-            if best is not None:
-                # witness phase: deciding the most significant vertex first,
-                # the first side found at the minimum is the smallest mask
-                _, best_mask, extra = _branch_and_bound(
-                    adj, range(g.order - 1, 0, -1), h, best + 1, best, deadline)
-                examined += extra
-                if best_mask is None:
-                    raise AssertionError(
-                        "no witness at the proven minimum value")
+        # value phase; a connected graph has no cut below 1
+        by_degree = sorted(range(1, g.order),
+                           key=lambda v: (-adj[v].bit_count(), v))
+        best, best_mask, examined = _branch_and_bound(
+            adj, by_degree, h, g.num_edges + 1, 1, deadline)
+        if best is not None:
+            # witness phase: deciding the most significant vertex first, the
+            # first side found at the minimum is the smallest mask
+            _, best_mask, extra = _branch_and_bound(
+                adj, range(g.order - 1, 0, -1), h, best + 1, best, deadline)
+            examined += extra
+            if best_mask is None:
+                raise AssertionError("no witness at the proven minimum value")
     except IncompleteSearchError as exc:
         if best is None:  # otherwise the value phase's side attains `best`
             best, best_mask = exc.best_value, exc.best_side

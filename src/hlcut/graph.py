@@ -45,9 +45,7 @@ def check_gate(order: int, override_gate: bool) -> None:
     if order > SOLVER_GATE and not override_gate:
         raise UsageError(
             f"order {order} exceeds the exhaustive-search gate of {SOLVER_GATE}: "
-            f"a 2^{order} scan would not finish; solve and verify --lemma thm "
-            f"accept --method branch-and-bound, and --override-gate still "
-            f"forces the scan")
+            f"a 2^{order} scan would not finish; --override-gate forces it")
 
 
 def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,

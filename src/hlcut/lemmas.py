@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .build import HlGraph
-from .cuts import EXHAUSTIVE, lambda_sh_exact
+from .cuts import lambda_sh_exact
 from .errors import UsageError
 from .graph import Graph, boundary_walk, check_gate, keeps_degree
 
@@ -124,17 +124,15 @@ def check_lemma_37(hl: HlGraph, levels: Sequence[int],
                  hl.label, override_gate)
 
 
-def check_theorem(hl: HlGraph, h: int, method: str = EXHAUSTIVE,
-                  budget: float | None = None,
-                  override_gate: bool = False) -> LemmaVerdict:
+def check_theorem(hl: HlGraph, h: int,
+                  budget: float | None = None) -> LemmaVerdict:
     """Exact solver value versus the closed form 2^h(n-h). subsets_checked
-    is 2^(order-1) - 1, the anchored bipartitions that a complete search
-    decides whatever its method, so the verdict is the same for every
-    method. tight_witnesses is not meaningful here (the solver reports one
-    witness) and is fixed at 0."""
+    is 2^(order-1) - 1, the anchored bipartitions that the complete search
+    decides, not the nodes it visits, so the verdict does not depend on how
+    the search prunes. tight_witnesses is not meaningful here (the solver
+    reports one witness) and is fixed at 0."""
     _require_levels([h], hl.n - 1, "equality check")
-    report = lambda_sh_exact(hl.graph, h, method=method, budget=budget,
-                             override_gate=override_gate)
+    report = lambda_sh_exact(hl.graph, h, budget=budget)
     holds = report.value == (1 << h) * (hl.n - h)
     counterexample = None if holds else report.witness_side
     return LemmaVerdict(THEOREM, hl.label, h, holds, counterexample,

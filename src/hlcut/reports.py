@@ -2,9 +2,9 @@
 
 One report per line, compact JSON with a fixed key order, newline-terminated,
 vertex sets as ascending vertex lists and edges as ascending [u, v] pairs.
-Reports are byte-identical across solver methods: a cut report carries no
-node count (that stays on `CutReport.subsets_examined`), and a T3.8 verdict
-counts the anchored bipartitions that any complete search decides.
+Reports do not depend on how a search prunes: a cut report carries no node
+count (that stays on `CutReport.subsets_examined`), and a T3.8 verdict
+counts the anchored bipartitions that a complete search decides.
 """
 
 from __future__ import annotations

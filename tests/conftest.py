@@ -94,23 +94,33 @@ def reference_min_degree_subsets(order: int, edges, h: int) -> list[int]:
     return out
 
 
-def reference_min_cut(order: int, edges, h: int):
+def reference_min_cuts(order: int, edges) -> dict:
     """Plain loop over every side X without vertex 0, on adjacency sets:
-    (value, side mask) of the fewest edges leaving an X where every vertex
-    keeps at least h neighbours on its own side, the smallest mask among
-    equal values; (None, None) when no X qualifies."""
+    {h: (value, side mask)} of the fewest edges leaving an X where every
+    vertex keeps at least h neighbours on its own side, the smallest mask
+    among equal values, for every h up to the minimum degree; (None, None)
+    at a level no X qualifies for. One pass serves every level: a side
+    qualifies at h iff h is at most the fewest own-side neighbours of any
+    vertex."""
     adj = reference_adjacency(order, edges)
-    best = (None, None)
+    top = min((len(nbrs) for nbrs in adj.values()), default=0)
+    best = dict.fromkeys(range(top + 1), (None, None))
     for mask in range(2, 1 << order, 2):  # ascending, so ties keep the first
         side = {v for v in range(order) if mask >> v & 1}
         rest = set(range(order)) - side
-        if any(len(adj[v] & side) < h for v in side) \
-                or any(len(adj[v] & rest) < h for v in rest):
-            continue
-        value = sum(len(adj[v] & rest) for v in side)
-        if best[0] is None or value < best[0]:
-            best = (value, mask)
+        own = [len(adj[v] & (side if v in side else rest))
+               for v in range(order)]
+        value = sum(len(adj[v]) - own[v] for v in side)
+        for h in range(min(own) + 1):
+            if best[h][0] is None or value < best[h][0]:
+                best[h] = (value, mask)
     return best
+
+
+def reference_min_cut(order: int, edges, h: int):
+    """The level-h entry of `reference_min_cuts`; (None, None) above the
+    minimum degree, where no side qualifies."""
+    return reference_min_cuts(order, edges).get(h, (None, None))
 
 
 def reference_restricted_edge_connectivity(edges) -> int:

@@ -19,12 +19,11 @@ import time
 
 import pytest
 
-from conftest import reference_vertex_cut
-from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, FIG1_EDGES,
-                   IncompleteSearchError, canonical_cut, check_lemma_32,
-                   check_lemma_35, check_lemma_37, dumps_report, fig1_graph,
-                   hypercube, is_h_edge_cut, is_h_vertex_cut, kappa_sh_exact,
-                   lambda_sh_exact, random_hl)
+from conftest import reference_min_cuts, reference_vertex_cut
+from hlcut import (FIG1_EDGES, IncompleteSearchError, canonical_cut,
+                   check_lemma_32, check_lemma_35, check_lemma_37,
+                   dumps_report, hypercube, is_h_edge_cut, is_h_vertex_cut,
+                   kappa_sh_exact, lambda_sh_exact, random_hl)
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -179,27 +178,27 @@ def test_criterion_7_method_and_thread_determinism(cube_runs, random_runs):
     cube_graphs, cube_reports, _ = cube_runs
     random_graphs, random_reports, _ = random_runs
     t0 = time.perf_counter()
-    instances = [(hl, n) for n, hl in cube_graphs.items()]
-    instances += [(hl, 4) for hl in random_graphs.values()]
-    baselines = {}
-    for n, hl in cube_graphs.items():
-        for h in range(n):
-            baselines[(hl.label, h)] = dumps_report(cube_reports[(n, h)])
-    for seed, hl in random_graphs.items():
-        for h in range(4):
-            baselines[(hl.label, h)] = dumps_report(random_reports[(seed, h)])
-    diffs = []
-    for hl, n in instances:
-        for h in range(n):
-            expected = baselines[(hl.label, h)]
-            for method in (EXHAUSTIVE, BRANCH_AND_BOUND):
-                line = dumps_report(lambda_sh_exact(hl.graph, h, method=method))
-                if line != expected:
-                    diffs.append((hl.label, h, method))
+    runs = [(hl, cube_reports[(n, h)], h)
+            for n, hl in cube_graphs.items() for h in range(n)]
+    runs += [(hl, random_reports[(seed, h)], h)
+             for seed, hl in random_graphs.items() for h in range(4)]
+    oracles = {}
+    wrong, diffs = [], []
+    for hl, report, h in runs:
+        if hl.label not in oracles:
+            oracles[hl.label] = reference_min_cuts(hl.graph.order,
+                                                   hl.graph.edges())
+        if (report.value, report.witness_side) != oracles[hl.label][h]:
+            wrong.append((hl.label, h))
+        if dumps_report(lambda_sh_exact(hl.graph, h)) != dumps_report(report):
+            diffs.append((hl.label, h))
     elapsed = time.perf_counter() - t0
-    announce(7, not diffs, f"byte-identical reports from a repeated "
-                           f"exhaustive run and from branch-and-bound on 23 "
-                           f"instances in {elapsed:.2f}s, diffs={diffs}")
+    ok = not wrong and not diffs
+    announce(7, ok, f"branch-and-bound (value, witness side) against the "
+                    f"brute-force oracle and byte-identical reports from a "
+                    f"repeated run on {len(oracles)} instances in "
+                    f"{elapsed:.2f}s, wrong={wrong}, diffs={diffs}")
+    assert not wrong
     assert not diffs
 
 
@@ -215,8 +214,7 @@ def test_criterion_8_dimension_five_stretch():
             outcomes[h] = "incomplete (budget exhausted)"
             continue
         try:
-            report = lambda_sh_exact(q5.graph, h, method=BRANCH_AND_BOUND,
-                                     budget=remaining)
+            report = lambda_sh_exact(q5.graph, h, budget=remaining)
             outcomes[h] = report.value
         except IncompleteSearchError as exc:
             outcomes[h] = f"incomplete (best incumbent {exc.best_value})"

@@ -122,17 +122,19 @@ def test_solve_mismatch_exits_nonzero(tmp_path):
 
 
 def test_solve_reports_identical_across_methods_and_threads(q4_file, tmp_path):
+    # --method names the one search, and the default is the same search
     blobs = set()
-    for method in ("exhaustive", "branch-and-bound"):
-        out = tmp_path / f"r-{method}.jsonl"
-        assert run("solve", "--graph", q4_file, "--h", "all",
-                   "--method", method, "--out", out) == 0
+    for flags in ((), ("--method", "branch-and-bound")):
+        out = tmp_path / f"r-{len(flags)}.jsonl"
+        assert run("solve", "--graph", q4_file, "--h", "all", *flags,
+                   "--out", out) == 0
         blobs.add(out.read_bytes())
     assert len(blobs) == 1
-    # the search is single-threaded; the option is gone
-    with pytest.raises(SystemExit) as err:
-        run("solve", "--graph", q4_file, "--h", "all", "--threads", 2)
-    assert err.value.code == 2
+    # the exhaustive scan is gone, and the search is single-threaded
+    for flags in (("--method", "exhaustive"), ("--threads", 2)):
+        with pytest.raises(SystemExit) as err:
+            run("solve", "--graph", q4_file, "--h", "all", *flags)
+        assert err.value.code == 2
 
 
 def test_solve_usage_errors(tmp_path):
@@ -161,8 +163,7 @@ def test_solve_budget_exhaustion_exit_code(tmp_path):
     # h=3 takes about 150k nodes and several seconds, far past the 0.02 s
     # budget; the first deadline check comes at node 4096
     write_graph(path, random_hl(7, 1).graph)
-    assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02,
-               "--method", "branch-and-bound") == 3
+    assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02) == 3
 
 
 def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
@@ -180,8 +181,7 @@ def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
     out = tmp_path / "reports.jsonl"
     g = hypercube(5).graph
     write_graph(path, g)
-    assert run("solve", "--graph", path, "--h", "all", "--method",
-               "branch-and-bound", "--out", out) == 3
+    assert run("solve", "--graph", path, "--h", "all", "--out", out) == 3
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "h   value         formula   match",
@@ -209,12 +209,18 @@ def _interrupted_after(calls, real):
     return interrupting
 
 
-def test_solve_exhaustive_interrupt_exits_3_and_keeps_the_rows(tmp_path,
-                                                               capsys,
-                                                               monkeypatch):
-    # Ctrl-C in the level-2 walk, after levels 0 and 1 have finished
-    monkeypatch.setattr(cuts, "boundary_walk",
-                        _interrupted_after(2, cuts.boundary_walk))
+def test_solve_interrupt_exits_3_and_keeps_the_rows(tmp_path, capsys,
+                                                    monkeypatch):
+    # Ctrl-C at the first forced-move step of level 2, after levels 0 and 1
+    # have finished
+    force = cuts._force
+
+    def interrupt_at_level_two(adj, x, y, cut, limit, h, check):
+        if h == 2:
+            raise KeyboardInterrupt
+        return force(adj, x, y, cut, limit, h, check)
+
+    monkeypatch.setattr(cuts, "_force", interrupt_at_level_two)
     path = tmp_path / "q3.graph"
     out = tmp_path / "reports.jsonl"
     write_graph(path, hypercube(3).graph)
@@ -224,7 +230,7 @@ def test_solve_exhaustive_interrupt_exits_3_and_keeps_the_rows(tmp_path,
         "h   value         formula   match",
         "0   3             3         yes",
         "1   4             4         yes"]
-    assert captured.err == "incomplete: interrupted\n"
+    assert captured.err.startswith("incomplete: search interrupted (h=2")
     assert not out.exists()
 
 
@@ -260,8 +266,8 @@ def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
     # h=0 and h=1 finish in 192 and 1 094 nodes, before the first deadline
     # check at node 4096; h=2 needs 5 988 and expires at that check
     write_graph(path, random_hl(6, 1).graph)
-    assert run("solve", "--graph", path, "--h", "all", "--method",
-               "branch-and-bound", "--budget", 0, "--out", out) == 3
+    assert run("solve", "--graph", path, "--h", "all", "--budget", 0,
+               "--out", out) == 3
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "h   value         formula   match",
@@ -271,20 +277,19 @@ def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
     assert not out.exists()  # --out is all or nothing
 
 
-def test_solve_gate_message_names_branch_and_bound(tmp_path, capsys):
+def test_solve_takes_any_order_without_flags(tmp_path, capsys):
     path = tmp_path / "q6.graph"
     write_graph(path, hypercube(6).graph)
-    assert run("solve", "--graph", path, "--h", 0) == 2
-    err = capsys.readouterr().err
-    assert "branch-and-bound" in err and "--override-gate" in err
+    assert run("solve", "--graph", path, "--h", 0) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == \
+        ["0", "6", "6", "yes"]
 
 
 @pytest.mark.parametrize("budget", ["nan", "-5"])
 def test_solve_rejects_a_bad_budget(tmp_path, capsys, budget):
     path = tmp_path / "q6.graph"
     write_graph(path, hypercube(6).graph)
-    assert run("solve", "--graph", path, "--h", "all", "--budget", budget,
-               "--method", "branch-and-bound") == 2
+    assert run("solve", "--graph", path, "--h", "all", "--budget", budget) == 2
     assert "budget" in capsys.readouterr().err
 
 
@@ -332,10 +337,10 @@ def test_verify_theorem_rejects_a_bad_budget(q4_trace, capsys, budget):
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
-@pytest.mark.parametrize("flag", [("--method", "exhaustive"),
-                                  ("--budget", "nan")])
+@pytest.mark.parametrize("flag", [("--budget", "30"), ("--budget", "nan")])
 def test_verify_search_flags_apply_only_to_the_theorem(q4_trace, capsys,
                                                        lemma, flag):
+    # a valid budget is refused as well as an invalid one
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", 1,
                *flag) == 2
     captured = capsys.readouterr()
@@ -343,27 +348,24 @@ def test_verify_search_flags_apply_only_to_the_theorem(q4_trace, capsys,
     assert captured.out == ""
 
 
-def test_verify_theorem_takes_method_and_budget(q4_trace, capsys):
+def test_verify_theorem_takes_a_budget_and_no_method(q4_trace, capsys):
     assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
-               "--method", "branch-and-bound", "--budget", 30) == 0
+               "--budget", 30) == 0
     assert capsys.readouterr().out.count("holds") == 4
+    with pytest.raises(SystemExit) as err:
+        run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
+            "--method", "branch-and-bound")
+    assert err.value.code == 2
 
 
-@pytest.mark.parametrize("kind", [("hypercube", "--n", 3), ("fig1",)],
-                         ids=["Q3", "fig1"])
-def test_verify_theorem_output_is_identical_across_methods(tmp_path, capsys,
-                                                           kind):
-    trace = tmp_path / "g.trace"
-    assert run("generate", "--kind", *kind, "--out", tmp_path / "g.graph",
-               "--trace", trace) == 0
+def test_verify_lemma_gate_names_the_override(tmp_path, capsys):
+    trace = tmp_path / "q6.trace"
+    assert run("generate", "--kind", "hypercube", "--n", 6,
+               "--out", tmp_path / "q6.graph", "--trace", trace) == 0
     capsys.readouterr()
-    outputs = set()
-    for method in ("exhaustive", "branch-and-bound"):
-        out = tmp_path / f"r-{method}.jsonl"
-        assert run("verify", "--lemma", "thm", "--trace", trace, "--h", "all",
-                   "--method", method, "--out", out) == 0
-        outputs.add((out.read_bytes(), capsys.readouterr().out))
-    assert len(outputs) == 1
+    assert run("verify", "--lemma", "3.2", "--trace", trace, "--h", 0) == 2
+    captured = capsys.readouterr()
+    assert "--override-gate" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])

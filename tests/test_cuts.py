@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlcut import (BRANCH_AND_BOUND, EXHAUSTIVE, IncompleteSearchError,
-                   UsageError, canonical_cut, fig1_graph, hypercube,
-                   is_h_edge_cut, lambda_sh_exact, mask_of, random_hl)
+from hlcut import (IncompleteSearchError, UsageError, canonical_cut,
+                   check_lemma_32, hypercube, is_h_edge_cut, lambda_sh_exact,
+                   mask_of, random_hl)
 from hlcut import cuts
 from hlcut.graph import Graph
 
@@ -91,7 +91,9 @@ def test_small_hypercube_values(q3, q4):
 def test_square_has_no_2_cut(q2):
     result = lambda_sh_exact(q2.graph, 2)
     assert result.value is None
-    assert result.subsets_examined == 7
+    # the root and its Y child: the X child leaves vertex 1 one neighbour
+    # off Y, and the Y child's forced moves put every vertex on Y
+    assert result.subsets_examined == 2
 
 
 def test_fig1_values(fig1):
@@ -149,9 +151,9 @@ def test_level_zero_matches_maxflow_edge_connectivity():
         report = lambda_sh_exact(hl.graph, 0)
         assert report.value == nx.edge_connectivity(to_nx(hl.graph))
         assert report.value == hl.n
-    # past the exhaustive gate, branch-and-bound against the same reference
+    # past the order gate of the subset scans, against the same reference
     for hl in (hypercube(6), hypercube(7), random_hl(6, 1), random_hl(7, 1)):
-        report = lambda_sh_exact(hl.graph, 0, method=BRANCH_AND_BOUND)
+        report = lambda_sh_exact(hl.graph, 0)
         assert report.value == nx.edge_connectivity(to_nx(hl.graph)) == hl.n
 
 
@@ -167,23 +169,9 @@ def test_level_one_matches_restricted_edge_connectivity():
     # each dimension-6 reference takes well under a second; dimension 7
     # takes several
     for hl in (hypercube(6), random_hl(6, 1), random_hl(6, 2)):
-        report = lambda_sh_exact(hl.graph, 1, method=BRANCH_AND_BOUND)
+        report = lambda_sh_exact(hl.graph, 1)
         assert report.value == \
             reference_restricted_edge_connectivity(hl.graph.edges()) == 10
-
-
-def test_methods_and_threads_agree(q3, fig1):
-    for hl in (q3, fig1, random_hl(4, 5)):
-        for h in range(hl.n):
-            reports = [lambda_sh_exact(hl.graph, h, method=m)
-                       for m in (EXHAUSTIVE, BRANCH_AND_BOUND)]
-            baseline = reports[0]
-            for r in reports[1:]:
-                if baseline.value is None:
-                    assert r.value is None
-                else:
-                    assert (r.value, r.witness_side, r.witness_cut) == \
-                        (baseline.value, baseline.witness_side, baseline.witness_cut)
 
 
 def _irregular_connected(g: Graph) -> bool:
@@ -193,15 +181,12 @@ def _irregular_connected(g: Graph) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(small_graphs().filter(_irregular_connected))
 def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
-    # degrees differ here, which the regular family never exercises
+    # degrees differ here, which the regular family never exercises; the
+    # oracle is the exhaustive loop over every bipartition
     for h in range(min(a.bit_count() for a in g.adj) + 2):
-        oracle = lambda_sh_exact(g, h, method=EXHAUSTIVE)
-        report = lambda_sh_exact(g, h, method=BRANCH_AND_BOUND)
-        if oracle.value is None:
-            assert report.value is None
-        else:
-            assert (report.value, report.witness_side) == \
-                (oracle.value, oracle.witness_side)
+        report = lambda_sh_exact(g, h)
+        assert (report.value, report.witness_side) == \
+            reference_min_cut(g.order, g.edges(), h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,16 +195,7 @@ def test_branch_and_bound_matches_reference_min_cut(g):
     # forced moves may drop only completions that leave some vertex below
     # degree h, so value and lexmin side match the plain loop
     for h in range(min(a.bit_count() for a in g.adj) + 2):
-        report = lambda_sh_exact(g, h, method=BRANCH_AND_BOUND)
-        found = (report.value, report.witness_side)
-        assert found == reference_min_cut(g.order, g.edges(), h)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_graphs().filter(Graph.is_connected))
-def test_exhaustive_matches_reference_min_cut(g):
-    for h in range(min(a.bit_count() for a in g.adj) + 2):
-        report = lambda_sh_exact(g, h, method=EXHAUSTIVE)
+        report = lambda_sh_exact(g, h)
         found = (report.value, report.witness_side)
         assert found == reference_min_cut(g.order, g.edges(), h)
 
@@ -228,7 +204,7 @@ def test_branch_and_bound_node_count_on_q5():
     # degree propagation keeps every level of Q5 small: 1 614 nodes in all
     # with forced moves, 6 033 with pruning alone, and about 23M without it
     q5 = hypercube(5)
-    total = sum(lambda_sh_exact(q5.graph, h, method=BRANCH_AND_BOUND)
+    total = sum(lambda_sh_exact(q5.graph, h)
                 .subsets_examined for h in range(5))
     assert total < 3_000
 
@@ -237,10 +213,10 @@ def test_branch_and_bound_dimension_six_mid_level():
     # the flow bound and forced moves prove the level-3 optimum in 6 694
     # nodes; without forcing Q6 needs 60 153, and with the cut-so-far bound
     # alone about 6.4M
-    q6 = lambda_sh_exact(hypercube(6).graph, 3, method=BRANCH_AND_BOUND)
+    q6 = lambda_sh_exact(hypercube(6).graph, 3)
     assert (q6.value, q6.witness_side) == (24, 0xAAAA)
     assert q6.subsets_examined < 15_000
-    hl6 = lambda_sh_exact(random_hl(6, 1).graph, 3, method=BRANCH_AND_BOUND)
+    hl6 = lambda_sh_exact(random_hl(6, 1).graph, 3)
     assert (hl6.value, hl6.witness_side) == (24, 0xFF00)
 
 
@@ -248,7 +224,7 @@ def test_branch_and_bound_dimension_seven_mid_level():
     # 126 539 nodes and about 9 s with forced moves; without them the search
     # was still running after 3.1M nodes and 60 s
     g = hypercube(7).graph
-    report = lambda_sh_exact(g, 4, method=BRANCH_AND_BOUND)
+    report = lambda_sh_exact(g, 4)
     assert report.value == 48 == (1 << 4) * (7 - 4)
     assert is_h_edge_cut(g, report.witness_cut, 4)
     assert report.subsets_examined < 200_000
@@ -423,34 +399,30 @@ def test_disconnected_input_rejected():
 
 
 def test_gate_refuses_large_orders_without_override():
+    # only the subset scans are gated; the cut search takes any order
     ring = Graph.from_edges(40, [(i, (i + 1) % 40) for i in range(40)])
-    with pytest.raises(UsageError):
-        lambda_sh_exact(ring, 0)
+    assert lambda_sh_exact(ring, 0).value == 2
+    with pytest.raises(UsageError, match="--override-gate"):
+        check_lemma_32(hypercube(6), [0])
 
 
 def test_gate_does_not_apply_to_branch_and_bound():
     q6 = hypercube(6)
-    report = lambda_sh_exact(q6.graph, 5, method=BRANCH_AND_BOUND)
+    report = lambda_sh_exact(q6.graph, 5)
     assert report.value == 32
 
 
 def test_gate_override_accepted_on_small_graph(q3):
-    report = lambda_sh_exact(q3.graph, 1, override_gate=True)
-    assert report.value == 4
+    scan = check_lemma_32(q3, [1], override_gate=True)
+    assert scan.verdicts[0].holds
 
 
-def test_unknown_method_rejected(q3):
-    with pytest.raises(UsageError):
-        lambda_sh_exact(q3.graph, 1, method="guess")
-
-
-@pytest.mark.parametrize("method", [EXHAUSTIVE, BRANCH_AND_BOUND])
 @pytest.mark.parametrize("budget", [float("nan"), -5.0, -1e-9])
-def test_budget_must_be_a_nonnegative_number(method, budget):
-    # checked before the gate and before any search: a NaN deadline never
-    # expires, and a negative one expires at the first deadline check
+def test_budget_must_be_a_nonnegative_number(budget):
+    # checked before any search: a NaN deadline never expires, and a
+    # negative one expires at the first deadline check
     with pytest.raises(UsageError, match="budget"):
-        lambda_sh_exact(hypercube(6).graph, 3, method=method, budget=budget)
+        lambda_sh_exact(hypercube(6).graph, 3, budget=budget)
 
 
 def test_zero_and_infinite_budgets_accepted(q3):
@@ -465,7 +437,7 @@ def test_budget_exhaustion_raises_incomplete():
     # before the first deadline check at node 4096
     hl7 = random_hl(7, 1)
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(hl7.graph, 3, method=BRANCH_AND_BOUND, budget=0.02)
+        lambda_sh_exact(hl7.graph, 3, budget=0.02)
     assert err.value.budget == 0.02
     assert err.value.subsets_examined > 0
 
@@ -473,7 +445,7 @@ def test_budget_exhaustion_raises_incomplete():
 def test_budget_exhaustion_branch_and_bound_carries_witness():
     g = random_hl(7, 1).graph
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(g, 3, method=BRANCH_AND_BOUND, budget=0.05)
+        lambda_sh_exact(g, 3, budget=0.05)
     # the first incumbent arrives before the first deadline check
     best_value, best_side = err.value.best_value, err.value.best_side
     assert best_value is not None
@@ -494,7 +466,7 @@ def test_witness_phase_expiry_hands_back_the_value_phase_side(monkeypatch):
     monkeypatch.setattr(cuts, "_branch_and_bound", value_phase_then_expiry)
     g = hypercube(4).graph
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(g, 2, method=BRANCH_AND_BOUND, budget=60.0)
+        lambda_sh_exact(g, 2, budget=60.0)
     value, side, nodes = phases[0]
     assert (err.value.best_value, err.value.best_side) == (value, side)
     assert value == 8 and len(g.edge_boundary(side)) == 8
@@ -516,16 +488,8 @@ def test_interrupt_hands_back_the_incumbent(monkeypatch):
     monkeypatch.setattr(cuts, "_augment", interrupted_after_five)
     g = hypercube(5).graph
     with pytest.raises(IncompleteSearchError, match="interrupted") as err:
-        lambda_sh_exact(g, 2, method=BRANCH_AND_BOUND)
+        lambda_sh_exact(g, 2)
     side = err.value.best_side
     assert err.value.budget is None
     assert err.value.best_value == len(g.edge_boundary(side)) == 12
     assert is_h_edge_cut(g, g.edge_boundary(side), 2)
-
-
-def test_budget_exhaustion_exhaustive_carries_incumbent():
-    q5 = hypercube(5)
-    with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(q5.graph, 0, budget=0.05)
-    # by 0.05s the scan has seen small subsets, so an incumbent exists
-    assert err.value.best_value is not None
