@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from hlcut import (IncompleteSearchError, UsageError, canonical_cut,
                    check_lemma_32, hypercube, is_h_edge_cut, lambda_sh_exact,
-                   mask_of, random_hl)
+                   mask_of, random_hl, write_graph)
 from hlcut import cuts
+from hlcut.cli import main
 from hlcut.graph import Graph
 
 from conftest import (hl_members, reference_min_cut,
@@ -417,12 +418,30 @@ def test_gate_override_accepted_on_small_graph(q3):
     assert scan.verdicts[0].holds
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "branch-and-bound"])
 @pytest.mark.parametrize("budget", [float("nan"), -5.0, -1e-9])
-def test_budget_must_be_a_nonnegative_number(budget):
+def test_budget_must_be_a_nonnegative_number(method, budget, tmp_path,
+                                            monkeypatch):
     # checked before any search: a NaN deadline never expires, and a
     # negative one expires at the first deadline check
     with pytest.raises(UsageError, match="budget"):
         lambda_sh_exact(hypercube(6).graph, 3, budget=budget)
+
+    # solve exits 2 before any search, whichever method name a script
+    # gives: the bad budget, or the retired exhaustive scan, is refused
+    def no_search(*args):
+        raise AssertionError("a cut search started")
+
+    monkeypatch.setattr(cuts, "_branch_and_bound", no_search)
+    path = tmp_path / "q6.graph"
+    write_graph(path, hypercube(6).graph)
+    argv = ["solve", "--graph", str(path), "--h", "3", "--method", method,
+            f"--budget={budget}"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown --method
+        code = exc.code
+    assert code == 2
 
 
 def test_zero_and_infinite_budgets_accepted(q3):
