@@ -2,7 +2,7 @@
 interconnection networks: construct family members with verifiable traces,
 compute the degree-preserving edge-cut metric exactly, machine-check the
 bound chain behind the closed form, and decide the vertex-variant's
-existence by complete scan."""
+existence by complete, pruned search."""
 
 from .build import (FIG1_EDGES, FIG1_RELABEL, FIG1_TRACE, HlGraph, Leaf, Node,
                     block_vertices, fig1_graph, from_trace, hypercube,
@@ -13,7 +13,7 @@ from .errors import IncompleteSearchError, TraceError, UsageError
 from .graph import (Graph, MAX_ORDER, SOLVER_GATE, canonical_edge,
                     graph_from_text, graph_to_text, mask_of, read_graph,
                     write_graph)
-from .kappa import KappaReport, is_h_vertex_cut, kappa_sh_exact, subsets_of_size
+from .kappa import KappaReport, is_h_vertex_cut, kappa_sh_exact
 from .lemmas import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, LemmaScan,
                      LemmaVerdict, check_lemma_32, check_lemma_35,
                      check_lemma_37, check_theorem)

@@ -2,17 +2,19 @@
 disconnect the graph while every survivor keeps degree >= h, and if so, how
 few vertices suffice?
 
-Existence is genuinely open in general, so the scan is complete and
-size-major: subsets are tried by ascending size, ascending bitmask within a
-size (so the first hit is automatically a minimum-size, lexicographically
-smallest witness), and nonexistence is reported only after every size class
-up to order-2 has been exhausted.
+Existence is genuinely open in general, so the search is complete, pruned
+and size-major: subsets are decided by ascending size, ascending bitmask
+within a size (so the first hit is automatically a minimum-size,
+lexicographically smallest witness), and nonexistence is reported only after
+every size class up to order-2 has been exhausted. A subtree is skipped only
+when every subset in it fails the degree test, so it is counted, not tried,
+and `subsets_checked` stays the rank of the first hit in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from math import comb
 
 from .errors import UsageError
 from .graph import Graph, check_gate, connected_within, keeps_degree
@@ -25,22 +27,6 @@ class KappaReport:
     value: int | None       # witness size when exists
     witness: int | None     # vertex mask when exists
     subsets_checked: int
-
-
-def subsets_of_size(order: int, k: int) -> Iterator[int]:
-    """All k-subsets of 0..order-1 as masks, ascending (Gosper's hack)."""
-    if k == 0:
-        yield 0
-        return
-    if k > order:
-        return
-    m = (1 << k) - 1
-    limit = 1 << order
-    while m < limit:
-        yield m
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
 
 
 def is_h_vertex_cut(g: Graph, s: int, h: int) -> bool:
@@ -60,7 +46,7 @@ def is_h_vertex_cut(g: Graph, s: int, h: int) -> bool:
 
 
 def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport:
-    """Complete size-major scan for the smallest disconnecting vertex set
+    """Complete size-major search for the smallest disconnecting vertex set
     that leaves min degree >= h; existence is decided, never guessed."""
     if h < 0:
         raise UsageError(f"negative level {h}")
@@ -68,13 +54,40 @@ def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport
     adj = g.adj
     full = g.vertex_mask
     checked = 0
-    for size in range(0, max(g.order - 1, 0)):
-        for s in subsets_of_size(g.order, size):
-            checked += 1
-            rest = full ^ s
-            if not keeps_degree(adj, rest, rest, h):
-                continue
-            if connected_within(adj, rest):
-                continue
-            return KappaReport(h, True, size, s, checked)
+
+    def first_cut(s: int, top: int, r: int) -> int | None:
+        """The first cut, in ascending mask order, among s plus r vertices
+        below top (s's lowest vertex, or the order when s is empty). Picking
+        the highest vertex t first settles every survivor at or above t: a
+        survivor's count only drops as the set grows, so a settled one below
+        h fails the whole subtree."""
+        nonlocal checked
+        low = (1 << top) - 1
+        for t in range(r - 1, top):
+            x = s | 1 << t
+            rest = full ^ x
+            # survivors to test: those in (t, top), settled by t; every one
+            # below top at a leaf; t's neighbours at or above top, which t
+            # cost a neighbour
+            settled = rest & (low if r == 1 else low & -(2 << t))
+            if not keeps_degree(adj, settled | adj[t] & rest & ~low, rest, h):
+                checked += comb(t, r - 1)
+            elif r > 1:
+                hit = first_cut(x, t, r - 1)
+                if hit is not None:
+                    return hit
+            else:
+                checked += 1
+                if not connected_within(adj, rest):
+                    return x
+        return None
+
+    if g.order >= 2:
+        checked = 1
+        if keeps_degree(adj, full, full, h) and not connected_within(adj, full):
+            return KappaReport(h, True, 0, 0, checked)
+    for size in range(1, g.order - 1):
+        hit = first_cut(0, g.order, size)
+        if hit is not None:
+            return KappaReport(h, True, size, hit, checked)
     return KappaReport(h, False, None, None, checked)

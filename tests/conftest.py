@@ -3,6 +3,8 @@ implementations used as oracles."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from collections import deque
 
@@ -121,6 +123,43 @@ def reference_min_cut(order: int, edges, h: int):
     """The level-h entry of `reference_min_cuts`; (None, None) above the
     minimum degree, where no side qualifies."""
     return reference_min_cuts(order, edges).get(h, (None, None))
+
+
+@functools.cache
+def reference_kappas(order: int, edges: tuple) -> dict:
+    """Plain size-major loop over every removed set S that leaves at least
+    two vertices, on adjacency sets: {h: (size, mask, rank)} of the first S
+    whose deletion disconnects the rest while every survivor keeps at least
+    h neighbours, with rank its 1-based position in the loop, for every h up
+    to the maximum degree + 1; (None, None, total) at a level no S
+    qualifies for. Each size class is sorted by mask, because
+    itertools.combinations comes out in lexicographic order, not mask
+    order. One pass serves every level: S qualifies at h iff it disconnects
+    and h is at most the fewest surviving neighbours of any survivor."""
+    adj = reference_adjacency(order, edges)
+    top = max((len(nbrs) for nbrs in adj.values()), default=0) + 1
+    everyone = set(range(order))
+    found = {}
+    rank = 0
+    for size in range(order - 1):
+        for mask, removed in sorted(
+                (sum(1 << v for v in c), c)
+                for c in itertools.combinations(range(order), size)):
+            rank += 1
+            alive = everyone.difference(removed)
+            least = min(len(adj[v] & alive) for v in alive)
+            pending = [h for h in range(least + 1) if h not in found]
+            if pending and reference_vertex_cut(order, edges, removed, least):
+                found.update(dict.fromkeys(pending, (size, mask, rank)))
+    return {h: found.get(h, (None, None, rank)) for h in range(top + 1)}
+
+
+def reference_kappa(order: int, edges, h: int):
+    """The level-h entry of `reference_kappas`; levels above the maximum
+    degree + 1 share its answer, as no survivor can keep that many
+    neighbours."""
+    kappas = reference_kappas(order, tuple(edges))
+    return kappas[min(h, max(kappas))]
 
 
 def reference_restricted_edge_connectivity(edges) -> int:

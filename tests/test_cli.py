@@ -197,15 +197,15 @@ def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
 
 
 def _interrupted_after(calls, real):
-    """`real`, a generator function, whose call after the first `calls`
-    raises KeyboardInterrupt as its first step, as a Ctrl-C mid-scan would."""
+    """`real`, whose call after the first `calls` raises KeyboardInterrupt
+    before it starts, as a Ctrl-C mid-scan would."""
     made = []
 
     def interrupting(*args):
         made.append(args)
         if len(made) > calls:
             raise KeyboardInterrupt
-        yield from real(*args)
+        return real(*args)
     return interrupting
 
 
@@ -248,9 +248,10 @@ def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
 
 
 def test_kappa_interrupt_exits_3(tmp_path, capsys, monkeypatch):
-    # Ctrl-C in the size-3 class of a scan that would run to size 14
-    monkeypatch.setattr(kappa, "subsets_of_size",
-                        _interrupted_after(3, kappa.subsets_of_size))
+    # Ctrl-C at the 1001st of the 4 382 degree tests of a search that runs
+    # to size 14
+    monkeypatch.setattr(kappa, "keeps_degree",
+                        _interrupted_after(1000, kappa.keeps_degree))
     path = tmp_path / "fig1.graph"
     out = tmp_path / "kappa.jsonl"
     write_graph(path, fig1_graph().graph)

@@ -1,18 +1,20 @@
-"""Vertex-deletion variant: the predicate and the complete size-major scan."""
+"""Vertex-deletion variant: the predicate and the complete, pruned size-major
+search, against an independent oracle."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
-from hlcut import (UsageError, hypercube, is_h_vertex_cut, kappa_sh_exact,
-                   mask_of, random_hl)
+from hlcut import (KappaReport, UsageError, fig1_graph, hypercube,
+                   is_h_vertex_cut, kappa_sh_exact, mask_of, random_hl)
 from hlcut.graph import Graph
-from hlcut.kappa import subsets_of_size
 
-from conftest import reference_induced_min_degree
+from conftest import (random_simple_graph, reference_induced_min_degree,
+                      reference_kappa)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -46,16 +48,7 @@ def test_fig1_has_a_2_preserving_vertex_cut(fig1):
     assert reference_induced_min_degree(16, fig1.graph.edges(), rest) == 2
 
 
-# -- subset enumeration ------------------------------------------------------------
-
-def test_gosper_order_is_size_major_then_ascending():
-    masks = list(subsets_of_size(4, 2))
-    assert masks == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    assert list(subsets_of_size(3, 0)) == [0]
-    assert list(subsets_of_size(3, 4)) == []
-
-
-# -- exact scan ----------------------------------------------------------------------
+# -- exact search --------------------------------------------------------------------
 
 def test_fig1_level0(fig1):
     report = kappa_sh_exact(fig1.graph, 0)
@@ -129,6 +122,50 @@ def test_nonexistence_is_monotone_in_h(q2, q3, q4, fig1):
         outcomes = [kappa_sh_exact(hl.graph, h).exists for h in range(hl.n + 1)]
         # once nonexistent, nonexistent for every larger level
         assert outcomes == sorted(outcomes, reverse=True)
+
+
+def assert_matches_reference(g: Graph) -> None:
+    # the whole report, subsets_checked included, at every level up to one
+    # past the maximum degree, where no survivor keeps its degree
+    top = max((d.bit_count() for d in g.adj), default=0) + 1
+    for h in range(top + 1):
+        size, witness, rank = reference_kappa(g.order, g.edges(), h)
+        expected = KappaReport(h, size is not None, size, witness, rank)
+        assert kappa_sh_exact(g, h) == expected, h
+
+
+def test_search_matches_reference_on_random_graphs():
+    rng = random.Random(14)
+    for i in range(300):
+        order = 1 + i % 10
+        assert_matches_reference(
+            random_simple_graph(rng, order, rng.choice([0.2, 0.45, 0.7])))
+
+
+def member_graph(name: str) -> Graph:
+    """"q<n>", "fig1" or "hl<n>-<seed>"."""
+    if name == "fig1":
+        return fig1_graph().graph
+    if name.startswith("hl"):
+        n, seed = name[2:].split("-")
+        return random_hl(int(n), int(seed)).graph
+    return hypercube(int(name[1:])).graph
+
+
+@pytest.mark.parametrize("name", ["q2", "q3", "q4", "fig1", "hl4-1", "hl4-2",
+                                  "hl4-3"])
+def test_search_matches_reference_on_members(name):
+    assert_matches_reference(member_graph(name))
+
+
+@pytest.mark.parametrize("name", ["q5", "hl5-1"])
+@pytest.mark.parametrize("h", [4, 5])
+def test_order_32_nonexistence_is_decided(name, h):
+    # every one of the 2^32 - 33 removable sets is decided; without pruning
+    # that would take hours
+    report = kappa_sh_exact(member_graph(name), h, override_gate=True)
+    assert not report.exists
+    assert report.subsets_checked == 2 ** 32 - 33
 
 
 def test_scan_is_gated():
