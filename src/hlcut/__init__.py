@@ -17,7 +17,6 @@ from .kappa import KappaReport, is_h_vertex_cut, kappa_sh_exact
 from .lemmas import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, LemmaScan,
                      LemmaVerdict, check_lemma_32, check_lemma_35,
                      check_lemma_37, check_theorem)
-from .reports import (dumps_report, parse_report, parse_report_lines,
-                      report_payload, write_reports)
+from .reports import dumps_report, report_payload, write_reports
 
 __version__ = "0.1.0"

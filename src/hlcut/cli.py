@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
         # one search per level, so each row prints as its level finishes
         found = (checker(hl, h, budget=args.budget) for h in levels)
     else:
-        found = checker(hl, levels, override_gate=args.override_gate).verdicts
+        found = checker(hl, levels).verdicts
     verdicts: list[LemmaVerdict] = []
     for v in found:
         verdicts.append(v)
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
 def cmd_kappa(args) -> int:
     g = read_graph(args.graph)
     levels = _parse_h(args.h, -1, allow_all=False)
-    report = kappa_sh_exact(g, levels[0], override_gate=args.override_gate)
+    report = kappa_sh_exact(g, levels[0])
     if report.exists:
         print(f"h={report.h}: exists, value {report.value}, "
               f"witness {vertex_list(report.witness)} "
@@ -202,15 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="level, or 'all'")
     p.add_argument("--budget", type=float, help="--lemma thm only")
     p.add_argument("--out", default=None)
-    p.add_argument("--override-gate", action="store_true",
-                   help="allow lemma scans beyond the default order gate")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kappa", help="vertex-variant existence and value")
     p.add_argument("--graph", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--override-gate", action="store_true")
     p.set_defaults(func=cmd_kappa)
 
     return parser

@@ -15,8 +15,8 @@ from .errors import UsageError
 
 Edge = tuple[int, int]
 
-# Construction is allowed up to order 2^10; exhaustive subset scans are gated
-# much lower (see SOLVER_GATE) because they cost 2^order.
+# Construction is allowed up to order 2^10; the subset scans (lemma walks and
+# kappa) are capped much lower: a lemma walk visits all 2^order - 1 subsets.
 MAX_ORDER = 1 << 10
 SOLVER_GATE = 32
 
@@ -41,11 +41,11 @@ def vertex_list(mask: int | None) -> list[int] | None:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def check_gate(order: int, override_gate: bool) -> None:
-    if order > SOLVER_GATE and not override_gate:
+def check_gate(order: int) -> None:
+    if order > SOLVER_GATE:
         raise UsageError(
-            f"order {order} exceeds the exhaustive-search gate of {SOLVER_GATE}: "
-            f"a 2^{order} scan would not finish; --override-gate forces it")
+            f"order {order} exceeds the subset-scan cap of {SOLVER_GATE} "
+            f"vertices: a scan past it does not finish")
 
 
 def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
@@ -64,16 +64,15 @@ def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
     return True
 
 
-def boundary_walk(adj: tuple[int, ...] | list[int],
-                  first: int = 0) -> Iterator[tuple[int, int, int]]:
-    """Every nonempty subset X of the vertices first..order-1, once each, as
-    (X, |X|, |boundary(X)|), in reflected Gray-code order (Knuth, TAOCP
-    7.2.1.1). Step i moves the vertex v = first + (trailing zeros of i) into
-    or out of X, so |X| moves by one and the boundary by
-    +-(deg v - 2|N(v) & X|)."""
+def boundary_walk(adj: tuple[int, ...] | list[int]
+                  ) -> Iterator[tuple[int, int, int]]:
+    """Every nonempty vertex subset X, once each, as (X, |X|, |boundary(X)|),
+    in reflected Gray-code order (Knuth, TAOCP 7.2.1.1). Step i moves the
+    vertex v = trailing zeros of i into or out of X, so |X| moves by one and
+    the boundary by +-(deg v - 2|N(v) & X|)."""
     x = size = cut = 0
-    for i in range(1, 1 << (len(adj) - first)):
-        v = first + (i & -i).bit_length() - 1
+    for i in range(1, 1 << len(adj)):
+        v = (i & -i).bit_length() - 1
         a = adj[v]
         d = a.bit_count() - 2 * (a & x).bit_count()
         x ^= 1 << v

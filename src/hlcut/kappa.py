@@ -45,12 +45,12 @@ def is_h_vertex_cut(g: Graph, s: int, h: int) -> bool:
     return not connected_within(adj, rest)
 
 
-def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport:
+def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
     """Complete size-major search for the smallest disconnecting vertex set
     that leaves min degree >= h; existence is decided, never guessed."""
     if h < 0:
         raise UsageError(f"negative level {h}")
-    check_gate(g.order, override_gate)
+    check_gate(g.order)
     adj = g.adj
     full = g.vertex_mask
     checked = 0
@@ -60,7 +60,7 @@ def kappa_sh_exact(g: Graph, h: int, override_gate: bool = False) -> KappaReport
         below top (s's lowest vertex, or the order when s is empty). Picking
         the highest vertex t first settles every survivor at or above t: a
         survivor's count only drops as the set grows, so a settled one below
-        h fails the whole subtree."""
+        h fails the whole subtree. Recursion depth is r < SOLVER_GATE."""
         nonlocal checked
         low = (1 << top) - 1
         for t in range(r - 1, top):

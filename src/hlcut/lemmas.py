@@ -54,13 +54,13 @@ _FORMS = {LEMMA_32: (1, 0, False), LEMMA_35: (1, 1, False),
           LEMMA_37: (0, 1, True)}
 
 
-def _scan(g: Graph, lemma: str, bounds: dict[int, int], graph_id: str,
-          override_gate: bool = False) -> LemmaScan:
+def _scan(g: Graph, lemma: str, bounds: dict[int, int],
+          graph_id: str) -> LemmaScan:
     """The verdicts on `lemma` at the levels of `bounds` ({h: bound}), in
     that order, from one walk over all nonempty subsets. A subset is tested
     for min degree >= h (and, for L3.7, for a nonempty complement that keeps
     it too) at the levels whose bound it meets, until the first it fails."""
-    check_gate(g.order, override_gate)
+    check_gate(g.order)
     a, b, both_sides = _FORMS[lemma]
     adj = g.adj
     full = g.vertex_mask
@@ -98,30 +98,25 @@ def _require_levels(levels: Sequence[int], top: int, what: str) -> None:
             raise UsageError(f"{what} level {h} outside 0..{top}")
 
 
-def check_lemma_32(hl: HlGraph, levels: Sequence[int],
-                   override_gate: bool = False) -> LemmaScan:
+def check_lemma_32(hl: HlGraph, levels: Sequence[int]) -> LemmaScan:
     """Every subset with min induced degree >= h has at least 2^h vertices."""
     _require_levels(levels, hl.n, "size bound")
-    return _scan(hl.graph, LEMMA_32, {h: 1 << h for h in levels}, hl.label,
-                 override_gate)
+    return _scan(hl.graph, LEMMA_32, {h: 1 << h for h in levels}, hl.label)
 
 
-def check_lemma_35(hl: HlGraph, levels: Sequence[int],
-                   override_gate: bool = False) -> LemmaScan:
+def check_lemma_35(hl: HlGraph, levels: Sequence[int]) -> LemmaScan:
     """|X| + |boundary(X)| >= 2^h(n+1-h) for subsets with min degree >= h."""
     _require_levels(levels, hl.n - 1, "size-plus-boundary bound")
     return _scan(hl.graph, LEMMA_35,
-                 {h: (1 << h) * (hl.n + 1 - h) for h in levels}, hl.label,
-                 override_gate)
+                 {h: (1 << h) * (hl.n + 1 - h) for h in levels}, hl.label)
 
 
-def check_lemma_37(hl: HlGraph, levels: Sequence[int],
-                   override_gate: bool = False) -> LemmaScan:
+def check_lemma_37(hl: HlGraph, levels: Sequence[int]) -> LemmaScan:
     """|boundary(X)| >= 2^h(n-h) when both X and its complement keep min
     degree >= h."""
     _require_levels(levels, hl.n - 1, "boundary bound")
     return _scan(hl.graph, LEMMA_37, {h: (1 << h) * (hl.n - h) for h in levels},
-                 hl.label, override_gate)
+                 hl.label)
 
 
 def check_theorem(hl: HlGraph, h: int,

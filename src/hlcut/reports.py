@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 
-from .errors import UsageError
 from .graph import vertex_list
 from .kappa import KappaReport
 from .lemmas import LemmaVerdict
@@ -38,38 +37,6 @@ def report_payload(obj) -> dict:
 
 def dumps_report(obj) -> str:
     return json.dumps(report_payload(obj), separators=(",", ":")) + "\n"
-
-
-_REQUIRED_KEYS = {
-    "cut": ("report", "h", "value", "witness_cut", "witness_side"),
-    "lemma": ("report", "lemma_id", "graph_id", "h", "holds",
-              "counterexample", "subsets_checked", "tight_witnesses"),
-    "kappa": ("report", "h", "outcome", "value", "witness", "subsets_checked"),
-}
-
-
-def parse_report(line: str) -> dict:
-    """Parse and validate one serialized report line; returns the payload
-    dict (re-serializing it reproduces the canonical bytes)."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"report line is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise UsageError("report line nests deeper than any report") from None
-    if not isinstance(obj, dict) or "report" not in obj:
-        raise UsageError("report line lacks a 'report' discriminator")
-    kind = obj["report"]
-    if not isinstance(kind, str) or kind not in _REQUIRED_KEYS:
-        raise UsageError(f"unknown report kind {kind!r}")
-    if tuple(obj.keys()) != _REQUIRED_KEYS[kind]:
-        raise UsageError(
-            f"report keys {list(obj)} do not match the {kind} schema")
-    return obj
-
-
-def parse_report_lines(text: str) -> list[dict]:
-    return [parse_report(line) for line in text.splitlines() if line]
 
 
 def write_reports(path, reports) -> None:

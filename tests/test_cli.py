@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlcut import (fig1_graph, graph_to_text, hypercube, is_h_edge_cut,
-                   mask_of, parse_report_lines, random_hl, read_graph,
-                   read_trace, realize, trace_to_text, write_graph)
+                   mask_of, random_hl, read_graph, read_trace, realize,
+                   trace_to_text, write_graph)
 from hlcut import cli, cuts, kappa, lemmas
 from hlcut.cli import main
 from hlcut.graph import MAX_ORDER
@@ -89,7 +89,7 @@ def test_solve_all_levels_expect_formula(q4_file, tmp_path, capsys):
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
         ("0", "4", "4", "yes"), ("1", "6", "6", "yes"),
         ("2", "8", "8", "yes"), ("3", "8", "8", "yes")]
-    payloads = parse_report_lines(out.read_text())
+    payloads = [json.loads(line) for line in out.read_text().splitlines()]
     assert [p["value"] for p in payloads] == [4, 6, 8, 8]
 
 
@@ -135,6 +135,19 @@ def test_solve_reports_identical_across_methods_and_threads(q4_file, tmp_path):
         with pytest.raises(SystemExit) as err:
             run("solve", "--graph", q4_file, "--h", "all", *flags)
         assert err.value.code == 2
+
+
+def test_solve_takes_the_bnb_sweep_argv(q4_file, tmp_path, capsys):
+    # bench/run.py's bnb-sweep job shape: the last two no-op flags of their
+    # kind change neither the table nor the report bytes
+    plain, swept = tmp_path / "plain.jsonl", tmp_path / "swept.jsonl"
+    assert run("solve", "--graph", q4_file, "--h", 2, "--out", plain) == 0
+    expected = capsys.readouterr().out
+    assert run("solve", "--graph", q4_file, "--h", 2,
+               "--method", "branch-and-bound", "--budget", 2.5,
+               "--expect-theorem", "--out", swept, "--override-gate") == 0
+    assert capsys.readouterr().out == expected
+    assert swept.read_bytes() == plain.read_bytes()
 
 
 def test_solve_usage_errors(tmp_path):
@@ -359,14 +372,25 @@ def test_verify_theorem_takes_a_budget_and_no_method(q4_trace, capsys):
     assert err.value.code == 2
 
 
-def test_verify_lemma_gate_names_the_override(tmp_path, capsys):
+def test_verify_lemma_gate_names_the_cap(tmp_path, capsys):
     trace = tmp_path / "q6.trace"
     assert run("generate", "--kind", "hypercube", "--n", 6,
                "--out", tmp_path / "q6.graph", "--trace", trace) == 0
     capsys.readouterr()
     assert run("verify", "--lemma", "3.2", "--trace", trace, "--h", 0) == 2
     captured = capsys.readouterr()
-    assert "--override-gate" in captured.err and captured.out == ""
+    assert "subset-scan cap of 32 vertices" in captured.err
+    assert "override" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "kappa"])
+def test_scans_take_no_override_flag(q4_trace, fig1_file, command):
+    # only solve still accepts --override-gate, a no-op kept for bnb-sweep
+    argv = {"verify": ("verify", "--lemma", "3.2", "--trace", q4_trace),
+            "kappa": ("kappa", "--graph", fig1_file)}[command]
+    with pytest.raises(SystemExit) as err:
+        run(*argv, "--h", 0, "--override-gate")
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
@@ -396,7 +420,7 @@ def test_verify_writes_reports(q4_trace, tmp_path):
     out = tmp_path / "verdicts.jsonl"
     assert run("verify", "--lemma", "3.5", "--trace", q4_trace, "--h", "all",
                "--out", out) == 0
-    payloads = parse_report_lines(out.read_text())
+    payloads = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(payloads) == 4 and all(p["holds"] for p in payloads)
 
 
@@ -428,7 +452,7 @@ def test_kappa_fig1_level2_reports_the_witness(fig1_file, tmp_path, capsys):
     out = tmp_path / "kappa.jsonl"
     assert run("kappa", "--graph", fig1_file, "--h", 2, "--out", out) == 0
     assert "exists, value 8" in capsys.readouterr().out
-    payload = parse_report_lines(out.read_text())[0]
+    (payload,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert payload["outcome"] == "exists"
     assert payload["witness"] == [1, 2, 5, 6, 9, 10, 13, 14]
 

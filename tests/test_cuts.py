@@ -399,23 +399,20 @@ def test_disconnected_input_rejected():
         lambda_sh_exact(g, 0)
 
 
-def test_gate_refuses_large_orders_without_override():
+def test_gate_caps_the_subset_scans_at_32_vertices():
     # only the subset scans are gated; the cut search takes any order
     ring = Graph.from_edges(40, [(i, (i + 1) % 40) for i in range(40)])
     assert lambda_sh_exact(ring, 0).value == 2
-    with pytest.raises(UsageError, match="--override-gate"):
+    with pytest.raises(UsageError, match="order 64 exceeds the subset-scan "
+                                         "cap of 32 vertices") as err:
         check_lemma_32(hypercube(6), [0])
+    assert "override" not in str(err.value)
 
 
 def test_gate_does_not_apply_to_branch_and_bound():
     q6 = hypercube(6)
     report = lambda_sh_exact(q6.graph, 5)
     assert report.value == 32
-
-
-def test_gate_override_accepted_on_small_graph(q3):
-    scan = check_lemma_32(q3, [1], override_gate=True)
-    assert scan.verdicts[0].holds
 
 
 @pytest.mark.parametrize("method", ["exhaustive", "branch-and-bound"])

@@ -163,7 +163,7 @@ def test_search_matches_reference_on_members(name):
 def test_order_32_nonexistence_is_decided(name, h):
     # every one of the 2^32 - 33 removable sets is decided; without pruning
     # that would take hours
-    report = kappa_sh_exact(member_graph(name), h, override_gate=True)
+    report = kappa_sh_exact(member_graph(name), h)
     assert not report.exists
     assert report.subsets_checked == 2 ** 32 - 33
 

@@ -1,7 +1,8 @@
 """Source hygiene the stdlib can check: every name a package module imports
-is used in that module, and every public method of a package class is used
-by package code. `__init__.py` only re-exports, and `__future__` imports are
-directives, so both are exempt from the import check."""
+is used in that module, and every public method of a package class and every
+public module-level function is used by package code. `__init__.py` only
+re-exports, and `__future__` imports are directives, so both are exempt from
+the import check."""
 
 from __future__ import annotations
 
@@ -68,3 +69,40 @@ def test_every_public_method_is_used_by_the_package():
                            for a in attributes):
                     unused.append(f"{name}: {cls.name}.{fn.name}")
     assert not unused, f"public methods no package code uses: {unused}"
+
+
+# public functions kept although no package code calls them, each for a
+# caller outside the package
+UNCALLED = {
+    "is_h_edge_cut",    # witness predicate of bench/checks.py
+    "is_h_vertex_cut",  # witness predicate of bench/checks.py
+    "canonical_cut",    # acceptance criterion C3's block construction
+}
+
+
+def test_every_public_function_is_called_by_the_package():
+    # a function only tests call is a test helper, and belongs in the tests;
+    # a function called only from dead functions is dead too
+    functions = set()
+    loads = []  # (name, enclosing top-level function or None)
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(top, ast.FunctionDef):
+                owner = (path.name, top.name)
+                if not top.name.startswith("_") and top.name not in UNCALLED:
+                    functions.add(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    loads.append((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    loads.append((node.attr, owner))
+    dead: set[tuple[str, str]] = set()
+    while True:
+        newly = {key for key in functions if key not in dead and not any(
+            name == key[1] and owner != key and owner not in dead
+            for name, owner in loads)}
+        if not newly:
+            break
+        dead |= newly
+    assert not dead, f"public functions no package code calls: {sorted(dead)}"
