@@ -9,14 +9,15 @@ edge sets are iterables of such pairs and are canonicalized on input.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import UsageError
 
 Edge = tuple[int, int]
 
-# Construction is allowed up to order 2^10; the subset scans (lemma walks and
-# kappa) are capped much lower: a lemma walk visits all 2^order - 1 subsets.
+# Construction is allowed up to order 2^10; the subset scans (lemma searches
+# and kappa) decide all 2^order - 1 subsets and are capped much lower: their
+# pruning makes order 32 quick, not order 64.
 MAX_ORDER = 1 << 10
 SOLVER_GATE = 32
 
@@ -62,27 +63,6 @@ def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
             return False
         t ^= b
     return True
-
-
-def boundary_walk(adj: tuple[int, ...] | list[int]
-                  ) -> Iterator[tuple[int, int, int]]:
-    """Every nonempty vertex subset X, once each, as (X, |X|, |boundary(X)|),
-    in reflected Gray-code order (Knuth, TAOCP 7.2.1.1). Step i moves the
-    vertex v = trailing zeros of i into or out of X, so |X| moves by one and
-    the boundary by +-(deg v - 2|N(v) & X|)."""
-    x = size = cut = 0
-    for i in range(1, 1 << len(adj)):
-        v = (i & -i).bit_length() - 1
-        a = adj[v]
-        d = a.bit_count() - 2 * (a & x).bit_count()
-        x ^= 1 << v
-        if x >> v & 1:
-            size += 1
-            cut += d
-        else:
-            size -= 1
-            cut -= d
-        yield x, size, cut
 
 
 def connected_within(adj: tuple[int, ...] | list[int], mask: int) -> bool:

@@ -1,5 +1,5 @@
-"""Machine-checking the bound chain behind the main equality by exhaustive
-enumeration of qualifying vertex subsets, plus the end-to-end equality check.
+"""Machine-checking the bound chain behind the main equality by a complete,
+pruned search over vertex subsets, plus the end-to-end equality check.
 
 The three subset bounds, for a dimension-n member and a subset X with
 minimum induced degree >= h:
@@ -8,12 +8,13 @@ minimum induced degree >= h:
   L3.5   |X| + |boundary(X)| >= 2^h(n+1-h)   (h in 0..n-1)
   L3.7   |boundary(X)| >= 2^h(n-h)           (h in 0..n-1, both sides >= h)
 
-and T3.8 is the solver-vs-formula equality check. One Gray-code walk over all
-nonempty subsets decides every requested level of one bound. The walk
-updates |X| and |boundary(X)| in O(1) per subset. A subset is tested for
-minimum degree only at the levels whose bound its quantity meets, in
-ascending order, and only up to the first level it fails: min degree >= h'
-implies min degree >= h for every h < h'.
+and T3.8 is the solver-vs-formula equality check. Each requested level of a
+bound is decided by its own depth-first search that puts the vertices, in
+ascending order, into X or into its complement Y. A partial assignment is
+dropped once its quantity, which only grows, exceeds the level's bound, or
+once a vertex of X (for L3.7 also of Y) has fewer than h neighbours left on
+its own side or free. Every nonempty subset is thus decided, most of them by
+pruning, and only those at or below the bound are reached as leaves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple, Sequence
 from .build import HlGraph
 from .cuts import lambda_sh_exact
 from .errors import UsageError
-from .graph import Graph, boundary_walk, check_gate, keeps_degree
+from .graph import Graph, check_gate, keeps_degree
 
 LEMMA_32 = "L3.2"
 LEMMA_35 = "L3.5"
@@ -45,7 +46,7 @@ class LemmaVerdict:
 
 class LemmaScan(NamedTuple):  # cheaper to define at import than a dataclass
     verdicts: tuple[LemmaVerdict, ...]  # one per requested level
-    subsets_checked: int  # subsets walked once, shared by every level
+    subsets_checked: int  # subsets decided, 2^order - 1 at every level
 
 
 # lemma -> (weight of |X|, weight of |boundary(X)|, whether the nonempty
@@ -57,37 +58,55 @@ _FORMS = {LEMMA_32: (1, 0, False), LEMMA_35: (1, 1, False),
 def _scan(g: Graph, lemma: str, bounds: dict[int, int],
           graph_id: str) -> LemmaScan:
     """The verdicts on `lemma` at the levels of `bounds` ({h: bound}), in
-    that order, from one walk over all nonempty subsets. A subset is tested
-    for min degree >= h (and, for L3.7, for a nonempty complement that keeps
-    it too) at the levels whose bound it meets, until the first it fails."""
+    that order. Each level's search reaches as leaves exactly the subsets X
+    with min degree >= h (and, for L3.7, a nonempty complement that keeps it
+    too) whose quantity meets the bound; it counts the tight ones and keeps
+    the smallest violating mask. Recursion depth is order <= SOLVER_GATE."""
     check_gate(g.order)
     a, b, both_sides = _FORMS[lemma]
     adj = g.adj
     full = g.vertex_mask
-    top = max(bounds.values())
-    # quantity -> the (level, bound) pairs whose bound it meets, ascending
-    meets = [tuple((h, bounds[h]) for h in sorted(bounds) if bounds[h] >= q)
-             for q in range(top + 1)]
-    counterexample = dict.fromkeys(bounds)
-    tight = dict.fromkeys(bounds, 0)
-    for x, size, cut in boundary_walk(adj):
-        quantity = a * size + b * cut
-        if quantity > top:
-            continue
-        for h, bound in meets[quantity]:
-            if not keeps_degree(adj, x, x, h):
-                break
-            if both_sides:
-                y = full ^ x
-                if not y or not keeps_degree(adj, y, y, h):
-                    break
-            if quantity == bound:
-                tight[h] += 1
-            elif counterexample[h] is None or x < counterexample[h]:
-                counterexample[h] = x
-    return LemmaScan(tuple(
-        LemmaVerdict(lemma, graph_id, h, counterexample[h] is None,
-                     counterexample[h], full, tight[h]) for h in bounds), full)
+    order = g.order
+    verdicts = []
+    for h, bound in bounds.items():
+        counterexample, tight = None, 0
+
+        def decide(v: int, x: int, y: int, size: int, cut: int) -> None:
+            """Every completion of X = x, Y = y over the vertices v.. whose
+            quantity a*size + b*cut, already at or below the bound, stays
+            there. Every vertex of x keeps h neighbours outside y, and under
+            L3.7 every vertex of y keeps h outside x; a new vertex can only
+            break that for itself and its neighbours on the other side."""
+            nonlocal counterexample, tight
+            if v == order:
+                if x and (y or not both_sides):
+                    if a * size + b * cut == bound:
+                        tight += 1
+                    elif counterexample is None or x < counterexample:
+                        counterexample = x
+                return
+            bit = 1 << v
+            nbrs = adj[v]
+            across = nbrs & y
+            into_x = cut + across.bit_count()
+            if a * (size + 1) + b * into_x <= bound \
+                    and keeps_degree(adj, bit, full ^ y, h) \
+                    and (not both_sides
+                         or keeps_degree(adj, across, full ^ x ^ bit, h)):
+                decide(v + 1, x | bit, y, size + 1, into_x)
+            across = nbrs & x
+            into_y = cut + across.bit_count()
+            if a * size + b * into_y <= bound \
+                    and keeps_degree(adj, across, full ^ y ^ bit, h) \
+                    and (not both_sides
+                         or keeps_degree(adj, bit, full ^ x, h)):
+                decide(v + 1, x, y | bit, size, into_y)
+
+        decide(0, 0, 0, 0, 0)
+        verdicts.append(LemmaVerdict(lemma, graph_id, h,
+                                     counterexample is None, counterexample,
+                                     full, tight))
+    return LemmaScan(tuple(verdicts), full)
 
 
 def _require_levels(levels: Sequence[int], top: int, what: str) -> None:

@@ -96,14 +96,14 @@ def test_criterion_4_bound_lemmas_full_scan(fig1):
     t0 = time.perf_counter()
     members = [hypercube(4), fig1] + [random_hl(4, s) for s in range(1, 6)]
     failures = []
-    walks = 0
-    # the size bound admits h = n, the other two stop at n - 1; one walk
+    scans = 0
+    # the size bound admits h = n, the other two stop at n - 1; one scan
     # decides every level of one bound
     checks = ((check_lemma_32, 4), (check_lemma_35, 3), (check_lemma_37, 3))
     for hl in members:
         for check, top in checks:
             scan = check(hl, range(top + 1))
-            walks += 1
+            scans += 1
             if scan.subsets_checked != 2 ** 16 - 1:
                 failures.append((hl.label, check.__name__))
             for v in scan.verdicts:
@@ -111,7 +111,8 @@ def test_criterion_4_bound_lemmas_full_scan(fig1):
                     failures.append((hl.label, v.lemma_id, v.h))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120.0
-    announce(4, ok, f"{walks} full 2^16 walks over 7 members in {elapsed:.2f}s "
+    announce(4, ok, f"{scans} scans deciding all 2^16 - 1 subsets over 7 "
+                    f"members in {elapsed:.2f}s "
                     f"(budget 120s), failures={failures}")
     assert not failures
     assert elapsed < 120.0

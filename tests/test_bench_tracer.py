@@ -40,7 +40,7 @@ def test_tracer_wraps_the_verify_path_and_puts_it_back(tmp_path, monkeypatch,
 
 
 def test_tracer_records_one_lemma_span_per_job(tmp_path, monkeypatch, capsys):
-    # `--h all` decides every level in one walk, so one span counts 2^8 - 1
+    # `--h all` decides every level in one call, so one span counts 2^8 - 1
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
 

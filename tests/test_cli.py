@@ -250,8 +250,9 @@ def test_solve_interrupt_exits_3_and_keeps_the_rows(tmp_path, capsys,
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
 def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
                                         monkeypatch, lemma):
-    monkeypatch.setattr(lemmas, "boundary_walk",
-                        _interrupted_after(0, lemmas.boundary_walk))
+    # Ctrl-C at the first degree test of the search
+    monkeypatch.setattr(lemmas, "keeps_degree",
+                        _interrupted_after(0, lemmas.keeps_degree))
     out = tmp_path / "verdicts.jsonl"
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
                "--out", out) == 3
@@ -394,22 +395,26 @@ def test_scans_take_no_override_flag(q4_trace, fig1_file, command):
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
-def test_verify_lemma_walks_once_for_every_level(q4_trace, capsys,
-                                                  monkeypatch, lemma):
-    walks = []
-    walk = lemmas.boundary_walk
+def test_verify_lemma_prunes_every_level(q4_trace, capsys, monkeypatch,
+                                         lemma):
+    # every level decides all 65 535 subsets, and all levels together make
+    # fewer than 2^14 degree tests (2 415, 3 292 and 10 943 when written);
+    # without the bound prune the h = 0 search alone would degree-test its
+    # way to all 2^16 leaves
+    tests = []
+    real = lemmas.keeps_degree
 
     def counting(*args):
-        walks.append(args)
-        return walk(*args)
+        tests.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(lemmas, "boundary_walk", counting)
+    monkeypatch.setattr(lemmas, "keeps_degree", counting)
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h",
                "all") == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == (5 if lemma == "3.2" else 4)
     assert all("holds (subsets=65535," in row for row in rows)
-    assert len(walks) == 1
+    assert 0 < len(tests) < 2 ** 14
 
 
 def test_verify_level_out_of_range(q4_trace):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hlcut import (Graph, UsageError, graph_from_text, graph_to_text, hypercube,
                    is_h_edge_cut, mask_of)
-from hlcut.graph import MAX_ORDER, boundary_walk, keeps_degree
+from hlcut.graph import MAX_ORDER, keeps_degree
 
 from conftest import (random_simple_graph, reference_adjacency,
                       reference_connected, reference_induced_min_degree,
@@ -157,18 +157,6 @@ def test_min_degree_plus_max_boundary_within_max_degree(g):
     top = max(a.bit_count() for a in g.adj)
     assert reference_induced_min_degree(g.order, g.edges(), x) \
         + worst_boundary <= top
-
-
-@settings(max_examples=60)
-@given(small_graphs())
-def test_boundary_walk_visits_each_subset_once(g):
-    seen = set()
-    for x, size, cut in boundary_walk(g.adj):
-        assert x not in seen
-        seen.add(x)
-        assert size == x.bit_count()
-        assert cut == len(g.edge_boundary(x))
-    assert seen == set(range(1, g.vertex_mask + 1))
 
 
 def test_connectivity_agrees_with_reference_bfs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hlcut import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, UsageError,
                    check_lemma_37, check_theorem, hypercube, lambda_sh_exact,
                    mask_of, random_hl, realize)
 from hlcut import lemmas
-from hlcut.graph import Graph, keeps_degree
+from hlcut.graph import Graph
 from hlcut.lemmas import _scan
 
 from conftest import (reference_boundary_size, reference_induced_min_degree,
@@ -160,32 +161,30 @@ def test_fig1_level_two_tight_counts(fig1):
     assert counts == TIGHT[("fig1", 2)]
 
 
-@pytest.mark.parametrize("lemma", sorted(CHECKS))
-def test_scan_degree_tests_only_at_or_below_its_bound(q4, monkeypatch, lemma):
-    tested = []
-
-    def recording(adj, vertices, within, level):
-        tested.append((vertices, level))
-        return keeps_degree(adj, vertices, within, level)
-
-    monkeypatch.setattr(lemmas, "keeps_degree", recording)
-    levels = range(4 + 1 - SLACK[lemma])
-    scan = CHECKS[lemma](q4, levels)
-    assert all(v.holds for v in scan.verdicts) and tested
-    assert {level for _, level in tested} == set(levels)
-    # the boundary is symmetric, so a complement tested under L3.7 meets the
-    # same bound as its subset
-    edges = q4.graph.edges()
-    above = [(x, level) for x, level in tested
-             if _quantity(lemma, x.bit_count(),
-                          reference_boundary_size(edges, x))
-             > _bounds(4, level)[lemma]]
-    assert above == []
+def test_dimension_five_tight_counts_are_the_subcubes():
+    # out of reach of a plain 2^32-step walk; Q5's tight subsets are its
+    # subcubes of dimension h: for L3.5 at h = 4 also V itself, and for L3.7
+    # each with its complement, which at h = 3 = n - 2 adds the ten Q4
+    # halves and at h = 4 is a Q4 half again
+    subcubes = [comb(5, h) << (5 - h) for h in range(6)]
+    assert subcubes == [32, 80, 80, 40, 10, 1]
+    expected = {LEMMA_32: subcubes,
+                LEMMA_35: subcubes[:4] + [subcubes[4] + 1],
+                LEMMA_37: [2 * c for c in subcubes[:3]]
+                + [2 * subcubes[3] + subcubes[4], subcubes[4]]}
+    for hl in (hypercube(5), random_hl(5, 1)):
+        for k, check in CHECKS.items():
+            scan = check(hl, range(5 + 1 - SLACK[k]))
+            assert scan.subsets_checked == 2 ** 32 - 1
+            assert all(v.holds for v in scan.verdicts)
+            if hl.label == "Q5":
+                assert [v.tight_witnesses for v in scan.verdicts] == \
+                    expected[k]
 
 
 def test_level_out_of_range_rejected(q4, monkeypatch):
-    # every level is validated before the walk starts
-    monkeypatch.setattr(lemmas, "boundary_walk", None)
+    # every level is validated before the search starts
+    monkeypatch.setattr(lemmas, "_scan", None)
     with pytest.raises(UsageError):
         check_lemma_37(q4, [0, 4])
     with pytest.raises(UsageError):
@@ -258,6 +257,19 @@ def test_scan_matches_brute_force(g):
             (v,) = _scan(g, k, {h: bound}, "g").verdicts
             assert (v.h, v.holds, v.counterexample, v.tight_witnesses) == \
                 (h, *expected[h][k])
+
+
+def test_scan_matches_brute_force_on_the_order_16_member():
+    # the benchmark's HL4, far past the hypothesis graphs' order 9
+    hl = random_hl(4, 1)
+    g = hl.graph
+    levels = range(hl.n + 1)
+    expected = {h: _brute_force_bounds(g, hl.n, h) for h in levels}
+    for k in CHECKS:
+        scan = _scan(g, k, {h: _bounds(hl.n, h)[k] for h in levels}, "g")
+        assert [(v.h, v.holds, v.counterexample, v.tight_witnesses)
+                for v in scan.verdicts] == \
+            [(h, *expected[h][k]) for h in levels]
 
 
 # -- equality check (T3.8) ----------------------------------------------------------
