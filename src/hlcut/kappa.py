@@ -2,13 +2,19 @@
 disconnect the graph while every survivor keeps degree >= h, and if so, how
 few vertices suffice?
 
-Existence is genuinely open in general, so the search is complete, pruned
-and size-major: subsets are decided by ascending size, ascending bitmask
-within a size (so the first hit is automatically a minimum-size,
-lexicographically smallest witness), and nonexistence is reported only after
-every size class up to order-2 has been exhausted. A subtree is skipped only
-when every subset in it fails the degree test, so it is counted, not tried,
-and `subsets_checked` stays the rank of the first hit in that order.
+Existence is genuinely open in general, so the search is complete. It runs
+over the smallest component C of G - S rather than over S. Take a valid cut
+S and its smallest component C: N(C) lies in S, |C| <= (order - |S|)/2, and
+the other survivors lie in the h-core of G - C - N(C). So
+S(C) = V - C - hcore(G - C - N(C)) is a valid cut inside S, and a minimum S
+equals S(C) for its own smallest component. The search grows every
+connected C that keeps degree h and that these bounds allow, each from its
+lowest vertex, and keeps the smallest S(C), ties broken by the smaller mask.
+That is the first hit of the plain size-major scan (ascending size,
+ascending mask within a size), and `subsets_checked` is its rank there:
+sum_{j<k} C(order, j) + sum_i C(v_i, i) + 1 over the witness's vertices
+v_1 < ... < v_k, or sum_{j<=order-2} C(order, j), every removable set, when
+no cut exists.
 """
 
 from __future__ import annotations
@@ -45,49 +51,110 @@ def is_h_vertex_cut(g: Graph, s: int, h: int) -> bool:
     return not connected_within(adj, rest)
 
 
+def _core(adj: tuple[int, ...] | list[int], mask: int, h: int) -> int:
+    """The h-core of the subgraph induced by mask: what is left once every
+    vertex with fewer than h neighbours left is peeled, repeatedly."""
+    while True:
+        drop = 0
+        t = mask
+        while t:
+            b = t & -t
+            if (adj[b.bit_length() - 1] & mask).bit_count() < h:
+                drop |= b
+            t ^= b
+        if not drop:
+            return mask
+        mask ^= drop
+
+
+def _rank(order: int, witness: int) -> int:
+    """1-based position of witness in the size-major, ascending-mask order
+    of all vertex sets."""
+    k = witness.bit_count()
+    before = sum(comb(order, j) for j in range(k))
+    i = 0
+    while witness:
+        b = witness & -witness
+        i += 1
+        before += comb(b.bit_length() - 1, i)
+        witness ^= b
+    return before + 1
+
+
 def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
-    """Complete size-major search for the smallest disconnecting vertex set
-    that leaves min degree >= h; existence is decided, never guessed."""
+    """Complete search for the smallest disconnecting vertex set that leaves
+    min degree >= h; existence is decided, never guessed."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     check_gate(g.order)
     adj = g.adj
     full = g.vertex_mask
-    checked = 0
+    order = g.order
+    best, best_size = None, order
 
-    def first_cut(s: int, top: int, r: int) -> int | None:
-        """The first cut, in ascending mask order, among s plus r vertices
-        below top (s's lowest vertex, or the order when s is empty). Picking
-        the highest vertex t first settles every survivor at or above t: a
-        survivor's count only drops as the set grows, so a settled one below
-        h fails the whole subtree. Recursion depth is r < SOLVER_GATE."""
-        nonlocal checked
-        low = (1 << top) - 1
-        for t in range(r - 1, top):
-            x = s | 1 << t
-            rest = full ^ x
-            # survivors to test: those in (t, top), settled by t; every one
-            # below top at a leaf; t's neighbours at or above top, which t
-            # cost a neighbour
-            settled = rest & (low if r == 1 else low & -(2 << t))
-            if not keeps_degree(adj, settled | adj[t] & rest & ~low, rest, h):
-                checked += comb(t, r - 1)
-            elif r > 1:
-                hit = first_cut(x, t, r - 1)
-                if hit is not None:
-                    return hit
-            else:
-                checked += 1
-                if not connected_within(adj, rest):
-                    return x
-        return None
+    def grow(a: int, out: int, reach: int) -> None:
+        """Every connected C that contains a and avoids out, which holds the
+        vertices below a's lowest and those decided to be on the boundary;
+        reach is a's neighbourhood. A vertex of a keeps at least h
+        neighbours outside out. Branches on the lowest undecided neighbour
+        of a, boundary first, so recursion depth is at most the order."""
+        nonlocal best, best_size
+        boundary = reach & out
+        cut_so_far = boundary.bit_count()
+        # the cut contains boundary; at the best size it can only be
+        # boundary itself, which must then beat best's mask
+        if cut_so_far > best_size or 2 * a.bit_count() > order - cut_so_far \
+                or cut_so_far == best_size and boundary >= best:
+            return
+        frontier = reach & ~(a | out)
+        if not frontier:
+            core = _core(adj, full & ~(a | reach), h)
+            cut = full ^ a ^ core
+            size = cut.bit_count()
+            if core and (size < best_size or size == best_size and cut < best):
+                best, best_size = cut, size
+            return
+        v = frontier & -frontier
+        u = v.bit_length() - 1
+        # v on the boundary: its neighbours in a lose one neighbour
+        child = settle(a, out | v, reach, adj[u] & a)
+        if child is not None:
+            grow(*child)
+        child = settle(a | v, out, reach | adj[u], v)
+        if child is not None:
+            grow(*child)
 
-    if g.order >= 2:
-        checked = 1
-        if keeps_degree(adj, full, full, h) and not connected_within(adj, full):
-            return KappaReport(h, True, 0, 0, checked)
-    for size in range(1, g.order - 1):
-        hit = first_cut(0, g.order, size)
-        if hit is not None:
-            return KappaReport(h, True, size, hit, checked)
-    return KappaReport(h, False, None, None, checked)
+    def settle(a: int, out: int, reach: int,
+               check: int) -> tuple[int, int, int] | None:
+        """a and reach closed under forced moves, starting from the vertices
+        of check: a vertex of a with fewer than h neighbours outside out
+        fails the branch, and one with exactly h pulls the undecided ones
+        into a. None on failure."""
+        free = full & ~(a | out)
+        while check:
+            b = check & -check
+            check ^= b
+            nbrs = adj[b.bit_length() - 1]
+            left = (nbrs & (a | free)).bit_count()
+            if left < h:
+                return None
+            if left == h:
+                pull = nbrs & free
+                while pull:
+                    p = pull & -pull
+                    pull ^= p
+                    a |= p
+                    free ^= p
+                    reach |= adj[p.bit_length() - 1]
+                    check |= p
+        return a, out, reach
+
+    for r in range(order):
+        bit = 1 << r
+        child = settle(bit, bit - 1, adj[r], bit)
+        if child is not None:
+            grow(*child)
+    if best is None:
+        # every removable set: all but the order + 1 that leave < 2 vertices
+        return KappaReport(h, False, None, None, (1 << order) - order - 1)
+    return KappaReport(h, True, best_size, best, _rank(order, best))

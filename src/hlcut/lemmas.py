@@ -61,7 +61,10 @@ def _scan(g: Graph, lemma: str, bounds: dict[int, int],
     that order. Each level's search reaches as leaves exactly the subsets X
     with min degree >= h (and, for L3.7, a nonempty complement that keeps it
     too) whose quantity meets the bound; it counts the tight ones and keeps
-    the smallest violating mask. Recursion depth is order <= SOLVER_GATE."""
+    the smallest violating mask. L3.7 is symmetric in X and its complement,
+    so there vertex 0 is pinned to Y: each bipartition is reached once,
+    counts twice, and offers the smaller of its two sides as a
+    counterexample. Recursion depth is order <= SOLVER_GATE."""
     check_gate(g.order)
     a, b, both_sides = _FORMS[lemma]
     adj = g.adj
@@ -82,14 +85,17 @@ def _scan(g: Graph, lemma: str, bounds: dict[int, int],
                 if x and (y or not both_sides):
                     if a * size + b * cut == bound:
                         tight += 1
-                    elif counterexample is None or x < counterexample:
-                        counterexample = x
+                    else:
+                        if both_sides:
+                            x = min(x, full ^ x)
+                        if counterexample is None or x < counterexample:
+                            counterexample = x
                 return
             bit = 1 << v
             nbrs = adj[v]
             across = nbrs & y
             into_x = cut + across.bit_count()
-            if a * (size + 1) + b * into_x <= bound \
+            if (v or not both_sides) and a * (size + 1) + b * into_x <= bound \
                     and keeps_degree(adj, bit, full ^ y, h) \
                     and (not both_sides
                          or keeps_degree(adj, across, full ^ x ^ bit, h)):
@@ -105,7 +111,7 @@ def _scan(g: Graph, lemma: str, bounds: dict[int, int],
         decide(0, 0, 0, 0, 0)
         verdicts.append(LemmaVerdict(lemma, graph_id, h,
                                      counterexample is None, counterexample,
-                                     full, tight))
+                                     full, tight * 2 if both_sides else tight))
     return LemmaScan(tuple(verdicts), full)
 
 

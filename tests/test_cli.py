@@ -262,14 +262,12 @@ def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
 
 
 def test_kappa_interrupt_exits_3(tmp_path, capsys, monkeypatch):
-    # Ctrl-C at the 1001st of the 4 382 degree tests of a search that runs
-    # to size 14
-    monkeypatch.setattr(kappa, "keeps_degree",
-                        _interrupted_after(1000, kappa.keeps_degree))
+    # Ctrl-C at the 5th of the 8 h-core peels of the level-2 search
+    monkeypatch.setattr(kappa, "_core", _interrupted_after(4, kappa._core))
     path = tmp_path / "fig1.graph"
     out = tmp_path / "kappa.jsonl"
     write_graph(path, fig1_graph().graph)
-    assert run("kappa", "--graph", path, "--h", 3, "--out", out) == 3
+    assert run("kappa", "--graph", path, "--h", 2, "--out", out) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "incomplete: interrupted\n")
     assert not out.exists()

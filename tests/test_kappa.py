@@ -1,9 +1,18 @@
-"""Vertex-deletion variant: the predicate and the complete, pruned size-major
-search, against an independent oracle."""
+"""Vertex-deletion variant: the predicate and the complete search over the
+smallest component, against an independent oracle.
+
+The search grows the smallest component C of G - S and takes
+S(C) = V - C - hcore(G - C - N(C)); every minimum cut is S(C) for its own
+smallest component, so the smallest-mask minimum is found. The oracle is the
+plain size-major scan, and `subsets_checked` must equal the witness's rank
+there, sum_{j<k} C(order, j) + sum_i C(v_i, i) + 1 over its vertices
+v_1 < ... < v_k, or every removable set, sum_{j<=order-2} C(order, j), when
+no cut exists."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -142,6 +151,30 @@ def test_search_matches_reference_on_random_graphs():
             random_simple_graph(rng, order, rng.choice([0.2, 0.45, 0.7])))
 
 
+def test_search_matches_reference_on_sparse_and_order_11_graphs():
+    # sparse graphs are mostly disconnected already, which reaches the leaf
+    # where C has no neighbours; order 11 reaches deeper searches
+    rng = random.Random(17)
+    for i in range(80):
+        order = 11 if i % 4 == 0 else 1 + i % 10
+        assert_matches_reference(
+            random_simple_graph(rng, order, rng.choice([0.1, 0.3, 0.6])))
+
+
+@pytest.mark.parametrize("order,edges", [(0, []), (1, []), (2, []),
+                                         (2, [(0, 1)])])
+def test_search_matches_reference_on_tiny_graphs(order, edges):
+    assert_matches_reference(Graph.from_edges(order, edges))
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_disconnected_graph_needs_no_removal(h):
+    squares = Graph.from_edges(8, [(0, 1), (1, 3), (3, 2), (2, 0),
+                                   (4, 5), (5, 7), (7, 6), (6, 4)])
+    assert kappa_sh_exact(squares, h) == KappaReport(h, True, 0, 0, 1)
+    assert not kappa_sh_exact(squares, 3).exists
+
+
 def member_graph(name: str) -> Graph:
     """"q<n>", "fig1" or "hl<n>-<seed>"."""
     if name == "fig1":
@@ -166,6 +199,22 @@ def test_order_32_nonexistence_is_decided(name, h):
     report = kappa_sh_exact(member_graph(name), h)
     assert not report.exists
     assert report.subsets_checked == 2 ** 32 - 33
+
+
+def test_q5_level3_is_two_disjoint_subcubes():
+    # removing vertices 8..23 leaves the 3-cubes on 0..7 and 24..31; the
+    # witness's rank is sum_{j<16} C(32, j) + sum_i C(7 + i, i) + 1
+    report = kappa_sh_exact(member_graph("q5"), 3)
+    assert report == KappaReport(3, True, 16, mask_of(range(8, 24)),
+                                 1_847_678_924)
+    assert report.subsets_checked == (
+        sum(math.comb(32, j) for j in range(16))
+        + sum(math.comb(7 + i, i) for i in range(1, 17)) + 1)
+
+
+def test_order_32_level3_nonexistence_is_decided():
+    report = kappa_sh_exact(member_graph("hl5-1"), 3)
+    assert report == KappaReport(3, False, None, None, 2 ** 32 - 33)
 
 
 def test_scan_is_gated():
