@@ -14,9 +14,9 @@ from .graph import (Graph, MAX_ORDER, SOLVER_GATE, canonical_edge,
                     graph_from_text, graph_to_text, mask_of, read_graph,
                     write_graph)
 from .kappa import KappaReport, is_h_vertex_cut, kappa_sh_exact
-from .lemmas import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, LemmaScan,
-                     LemmaVerdict, check_lemma_32, check_lemma_35,
-                     check_lemma_37, check_theorem)
+from .lemmas import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, LemmaVerdict,
+                     check_lemma_32, check_lemma_35, check_lemma_37,
+                     check_theorem)
 from .reports import dumps_report, report_payload, write_reports
 
 __version__ = "0.1.0"

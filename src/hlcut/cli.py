@@ -128,13 +128,10 @@ def cmd_verify(args) -> int:
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
-    if args.lemma == "thm":
-        # one search per level, so each row prints as its level finishes
-        found = (checker(hl, h, budget=args.budget) for h in levels)
-    else:
-        found = checker(hl, levels).verdicts
+    budget = {"budget": args.budget} if args.lemma == "thm" else {}
     verdicts: list[LemmaVerdict] = []
-    for v in found:
+    for h in levels:
+        v = checker(hl, h, **budget)
         verdicts.append(v)
         status = "holds" if v.holds else "FAILS"
         extra = ""

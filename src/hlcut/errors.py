@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 2, IncompleteSearchError -> 3.
+The CLI maps these onto exit codes: UsageError -> 2, IncompleteSearchError -> 3;
+a Ctrl-C (KeyboardInterrupt) that reaches it also exits 3.
 A verified mismatch or counterexample is not an exception; it is a result
 (exit code 1 at the CLI level).
 """

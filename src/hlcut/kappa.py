@@ -92,13 +92,33 @@ def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
     order = g.order
     best, best_size = None, order
 
-    def grow(a: int, out: int, reach: int) -> None:
+    def grow(a: int, out: int, reach: int, check: int) -> None:
         """Every connected C that contains a and avoids out, which holds the
         vertices below a's lowest and those decided to be on the boundary;
-        reach is a's neighbourhood. A vertex of a keeps at least h
-        neighbours outside out. Branches on the lowest undecided neighbour
-        of a, boundary first, so recursion depth is at most the order."""
+        reach is a's neighbourhood. First a and reach are closed under forced
+        moves, starting from the vertices of check: a vertex of a with fewer
+        than h neighbours outside out fails the branch, and one with exactly
+        h pulls the undecided ones into a. Then the search branches on the
+        lowest undecided neighbour of a, boundary first, so recursion depth
+        is at most the order."""
         nonlocal best, best_size
+        free = full & ~(a | out)
+        while check:
+            b = check & -check
+            check ^= b
+            nbrs = adj[b.bit_length() - 1]
+            left = (nbrs & (a | free)).bit_count()
+            if left < h:
+                return
+            if left == h:
+                pull = nbrs & free
+                while pull:
+                    p = pull & -pull
+                    pull ^= p
+                    a |= p
+                    free ^= p
+                    reach |= adj[p.bit_length() - 1]
+                    check |= p
         boundary = reach & out
         cut_so_far = boundary.bit_count()
         # the cut contains boundary; at the best size it can only be
@@ -106,7 +126,7 @@ def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
         if cut_so_far > best_size or 2 * a.bit_count() > order - cut_so_far \
                 or cut_so_far == best_size and boundary >= best:
             return
-        frontier = reach & ~(a | out)
+        frontier = reach & free
         if not frontier:
             core = _core(adj, full & ~(a | reach), h)
             cut = full ^ a ^ core
@@ -117,43 +137,12 @@ def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
         v = frontier & -frontier
         u = v.bit_length() - 1
         # v on the boundary: its neighbours in a lose one neighbour
-        child = settle(a, out | v, reach, adj[u] & a)
-        if child is not None:
-            grow(*child)
-        child = settle(a | v, out, reach | adj[u], v)
-        if child is not None:
-            grow(*child)
-
-    def settle(a: int, out: int, reach: int,
-               check: int) -> tuple[int, int, int] | None:
-        """a and reach closed under forced moves, starting from the vertices
-        of check: a vertex of a with fewer than h neighbours outside out
-        fails the branch, and one with exactly h pulls the undecided ones
-        into a. None on failure."""
-        free = full & ~(a | out)
-        while check:
-            b = check & -check
-            check ^= b
-            nbrs = adj[b.bit_length() - 1]
-            left = (nbrs & (a | free)).bit_count()
-            if left < h:
-                return None
-            if left == h:
-                pull = nbrs & free
-                while pull:
-                    p = pull & -pull
-                    pull ^= p
-                    a |= p
-                    free ^= p
-                    reach |= adj[p.bit_length() - 1]
-                    check |= p
-        return a, out, reach
+        grow(a, out | v, reach, adj[u] & a)
+        grow(a | v, out, reach | adj[u], v)
 
     for r in range(order):
         bit = 1 << r
-        child = settle(bit, bit - 1, adj[r], bit)
-        if child is not None:
-            grow(*child)
+        grow(bit, bit - 1, adj[r], bit)
     if best is None:
         # every removable set: all but the order + 1 that leave < 2 vertices
         return KappaReport(h, False, None, None, (1 << order) - order - 1)

@@ -39,8 +39,9 @@ def test_tracer_wraps_the_verify_path_and_puts_it_back(tmp_path, monkeypatch,
     assert cli._LEMMA_CHECKS is table
 
 
-def test_tracer_records_one_lemma_span_per_job(tmp_path, monkeypatch, capsys):
-    # `--h all` decides every level in one call, so one span counts 2^8 - 1
+def test_tracer_records_one_lemma_span_per_level(tmp_path, monkeypatch,
+                                                 capsys):
+    # `--h all` calls the check once per level, each deciding 2^8 - 1 subsets
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
 
@@ -55,5 +56,4 @@ def test_tracer_records_one_lemma_span_per_job(tmp_path, monkeypatch, capsys):
         tracer.uninstall()
     assert len(capsys.readouterr().out.splitlines()) == 3  # h = 0, 1, 2
     scans = [s for s in tracer.spans if s.name == "check_lemma_35"]
-    assert len(scans) == 1
-    assert scans[0].info == {"subsets": 255}
+    assert [s.info for s in scans] == [{"subsets": 255}] * 3

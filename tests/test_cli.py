@@ -261,6 +261,24 @@ def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lemma,tight", [("3.2", (16, 32)),
+                                         ("3.5", (16, 32)),
+                                         ("3.7", (32, 64))])
+def test_verify_lemma_interrupt_keeps_the_rows(q4_trace, tmp_path, capsys,
+                                              monkeypatch, lemma, tight):
+    # Ctrl-C as the level-2 scan starts, after levels 0 and 1 have finished
+    monkeypatch.setattr(lemmas, "_scan", _interrupted_after(2, lemmas._scan))
+    out = tmp_path / "verdicts.jsonl"
+    assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
+               "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"L{lemma}  {q4_trace}  h={h}: holds (subsets=65535, tight={t})"
+        for h, t in enumerate(tight)]
+    assert captured.err == "incomplete: interrupted\n"
+    assert not out.exists()
+
+
 def test_kappa_interrupt_exits_3(tmp_path, capsys, monkeypatch):
     # Ctrl-C at the 5th of the 8 h-core peels of the level-2 search
     monkeypatch.setattr(kappa, "_core", _interrupted_after(4, kappa._core))

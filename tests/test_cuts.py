@@ -405,7 +405,7 @@ def test_gate_caps_the_subset_scans_at_32_vertices():
     assert lambda_sh_exact(ring, 0).value == 2
     with pytest.raises(UsageError, match="order 64 exceeds the subset-scan "
                                          "cap of 32 vertices") as err:
-        check_lemma_32(hypercube(6), [0])
+        check_lemma_32(hypercube(6), 0)
     assert "override" not in str(err.value)
 
 

@@ -42,12 +42,6 @@ def _quantity(lemma: str, size: int, boundary: int) -> int:
 SLACK = {LEMMA_32: 0, LEMMA_35: 1, LEMMA_37: 1}
 
 
-def _at(check, hl, h):
-    """The verdict of a one-level request."""
-    (verdict,) = check(hl, [h]).verdicts
-    return verdict
-
-
 # -- the reference subset enumeration ------------------------------------------
 
 def test_square_has_one_2_regular_subset(q2):
@@ -78,7 +72,7 @@ TIGHT = {
 
 
 def test_size_bound_q4_tight_includes_square_blocks(q4):
-    verdict = _at(check_lemma_32, q4, 2)
+    verdict = check_lemma_32(q4, 2)
     assert verdict.holds and verdict.counterexample is None
     assert verdict.subsets_checked == 2 ** 16 - 1
     assert verdict.tight_witnesses == TIGHT[("Q4", 2)][0]
@@ -88,11 +82,11 @@ def test_size_bound_q4_tight_includes_square_blocks(q4):
 
 
 def test_size_bound_trivial_at_level_zero(q4):
-    assert _at(check_lemma_32, q4, 0).holds
+    assert check_lemma_32(q4, 0).holds
 
 
 def test_size_bound_fig1_halves_are_tight(fig1):
-    verdict = _at(check_lemma_32, fig1, 3)
+    verdict = check_lemma_32(fig1, 3)
     assert verdict.holds
     assert verdict.tight_witnesses == TIGHT[("fig1", 3)][0]
     for half in (mask_of([0, 1, 2, 3, 8, 9, 10, 11]),
@@ -103,20 +97,20 @@ def test_size_bound_fig1_halves_are_tight(fig1):
 
 def test_size_bound_whole_graph_at_top_level(q4, fig1):
     for hl in (q4, fig1):
-        verdict = _at(check_lemma_32, hl, 4)
+        verdict = check_lemma_32(hl, 4)
         assert verdict.holds and verdict.tight_witnesses == 1
 
 
 # -- size-plus-boundary bound (L3.5) ---------------------------------------------
 
 def test_size_plus_boundary_singletons_tight(q4):
-    verdict = _at(check_lemma_35, q4, 0)
+    verdict = check_lemma_35(q4, 0)
     assert verdict.holds
     assert verdict.tight_witnesses == TIGHT[("Q4", 0)][1]  # the 16 singletons
 
 
 def test_size_plus_boundary_q4(q4):
-    verdict = _at(check_lemma_35, q4, 2)
+    verdict = check_lemma_35(q4, 2)
     assert verdict.holds and verdict.tight_witnesses == TIGHT[("Q4", 2)][1]
 
 
@@ -129,7 +123,7 @@ def test_size_plus_boundary_block_is_tight(q3):
 # -- boundary bound (L3.7) --------------------------------------------------------
 
 def test_boundary_bound_q4_block_tight(q4):
-    verdict = _at(check_lemma_37, q4, 2)
+    verdict = check_lemma_37(q4, 2)
     assert verdict.holds and verdict.tight_witnesses == TIGHT[("Q4", 2)][2]
     assert len(q4.graph.edge_boundary(block_vertices(q4, 2))) == 8
 
@@ -140,7 +134,7 @@ def test_boundary_bound_edge_pair_tight(q2):
 
 
 def test_boundary_bound_fig1_level_zero(fig1):
-    verdict = _at(check_lemma_37, fig1, 0)
+    verdict = check_lemma_37(fig1, 0)
     assert verdict.holds
     # every proper subset therefore has boundary >= 4, matching the solver
     assert lambda_sh_exact(fig1.graph, 0).value == 4
@@ -150,13 +144,13 @@ def test_all_bounds_on_random_members():
     for seed in (3, 4):
         hl = random_hl(4, seed)
         for check in CHECKS.values():
-            scan = check(hl, range(4))
-            assert [v.h for v in scan.verdicts] == [0, 1, 2, 3]
-            assert all(v.holds for v in scan.verdicts)
+            verdicts = [check(hl, h) for h in range(4)]
+            assert [v.h for v in verdicts] == [0, 1, 2, 3]
+            assert all(v.holds for v in verdicts)
 
 
 def test_fig1_level_two_tight_counts(fig1):
-    counts = tuple(_at(check, fig1, 2).tight_witnesses
+    counts = tuple(check(fig1, 2).tight_witnesses
                    for check in CHECKS.values())
     assert counts == TIGHT[("fig1", 2)]
 
@@ -174,23 +168,22 @@ def test_dimension_five_tight_counts_are_the_subcubes():
                 + [2 * subcubes[3] + subcubes[4], subcubes[4]]}
     for hl in (hypercube(5), random_hl(5, 1)):
         for k, check in CHECKS.items():
-            scan = check(hl, range(5 + 1 - SLACK[k]))
-            assert scan.subsets_checked == 2 ** 32 - 1
-            assert all(v.holds for v in scan.verdicts)
+            verdicts = [check(hl, h) for h in range(5 + 1 - SLACK[k])]
+            assert all(v.subsets_checked == 2 ** 32 - 1 for v in verdicts)
+            assert all(v.holds for v in verdicts)
             if hl.label == "Q5":
-                assert [v.tight_witnesses for v in scan.verdicts] == \
-                    expected[k]
+                assert [v.tight_witnesses for v in verdicts] == expected[k]
 
 
 def test_level_out_of_range_rejected(q4, monkeypatch):
-    # every level is validated before the search starts
+    # the level is validated before the search starts
     monkeypatch.setattr(lemmas, "_scan", None)
     with pytest.raises(UsageError):
-        check_lemma_37(q4, [0, 4])
+        check_lemma_37(q4, 4)
     with pytest.raises(UsageError):
-        check_lemma_32(q4, [5, 0])
+        check_lemma_32(q4, 5)
     with pytest.raises(UsageError):
-        check_lemma_35(q4, [])
+        check_lemma_35(q4, -1)
 
 
 # -- a failing graph produces a re-checkable counterexample -----------------------
@@ -198,11 +191,11 @@ def test_level_out_of_range_rejected(q4, monkeypatch):
 def test_star_violates_boundary_bound():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     bounds = _bounds(2, 0)
-    (v37,) = _scan(star, LEMMA_37, {0: bounds[LEMMA_37]}, "star").verdicts
+    v37 = _scan(star, LEMMA_37, 0, bounds[LEMMA_37], "star")
     assert not v37.holds
     assert v37.counterexample == mask_of([1])  # the smallest violating mask
     assert len(star.edge_boundary(v37.counterexample)) < (1 << 0) * 2
-    (v35,) = _scan(star, LEMMA_35, {0: bounds[LEMMA_35]}, "star").verdicts
+    v35 = _scan(star, LEMMA_35, 0, bounds[LEMMA_35], "star")
     assert not v35.holds
     x = v35.counterexample
     assert x.bit_count() + len(star.edge_boundary(x)) < (1 << 0) * 3
@@ -237,26 +230,15 @@ def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
 @given(small_graphs())
 def test_scan_matches_brute_force(g):
     # arbitrary graphs reach levels above some vertex's degree, which the
-    # regular family never does; one walk per lemma decides every level
+    # regular family never does
     n = max(a.bit_count() for a in g.adj)
-    levels = range(n + 2)
-    expected = {h: _brute_force_bounds(g, n, h) for h in levels}
-    for k in CHECKS:
-        # levels asked for in descending order come back in that order
-        scan = _scan(g, k, {h: _bounds(n, h)[k] for h in reversed(levels)},
-                     "g")
-        assert scan.subsets_checked == g.vertex_mask
-        assert [v.h for v in scan.verdicts] == list(reversed(levels))
-        for v in scan.verdicts:
-            assert (v.holds, v.counterexample, v.tight_witnesses) == \
-                expected[v.h][k]
-            assert v.subsets_checked == g.vertex_mask
-    # one-level requests decide each level alone
-    for h in levels:
+    for h in range(n + 2):
+        expected = _brute_force_bounds(g, n, h)
         for k, bound in _bounds(n, h).items():
-            (v,) = _scan(g, k, {h: bound}, "g").verdicts
+            v = _scan(g, k, h, bound, "g")
             assert (v.h, v.holds, v.counterexample, v.tight_witnesses) == \
-                (h, *expected[h][k])
+                (h, *expected[k])
+            assert v.subsets_checked == g.vertex_mask
 
 
 def test_scan_matches_brute_force_on_the_order_16_member():
@@ -266,10 +248,9 @@ def test_scan_matches_brute_force_on_the_order_16_member():
     levels = range(hl.n + 1)
     expected = {h: _brute_force_bounds(g, hl.n, h) for h in levels}
     for k in CHECKS:
-        scan = _scan(g, k, {h: _bounds(hl.n, h)[k] for h in levels}, "g")
+        verdicts = [_scan(g, k, h, _bounds(hl.n, h)[k], "g") for h in levels]
         assert [(v.h, v.holds, v.counterexample, v.tight_witnesses)
-                for v in scan.verdicts] == \
-            [(h, *expected[h][k]) for h in levels]
+                for v in verdicts] == [(h, *expected[h][k]) for h in levels]
 
 
 # -- equality check (T3.8) ----------------------------------------------------------

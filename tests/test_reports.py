@@ -32,7 +32,7 @@ def test_nonexistent_cut_line(q2):
 
 def test_lemma_line_round_trips(q4):
     # a line is the compact JSON of the payload, keys in schema order
-    (verdict,) = check_lemma_32(q4, [2]).verdicts
+    verdict = check_lemma_32(q4, 2)
     line = dumps_report(verdict)
     payload = json.loads(line)
     assert payload == report_payload(verdict)
