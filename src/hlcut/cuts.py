@@ -13,12 +13,13 @@ order gate. It assigns vertices to X or to the anchor's side Y and prunes a
 partial assignment by two lower bounds on every completion's cut: the edges
 already cut, and the value of an X->Y max-flow (any completion's cut
 separates the assigned X from the assigned Y, so it is at least that value).
-The flow is kept incrementally: a node starts from its parent's flow, which
-stays feasible with the same value because every newly assigned vertex was
-free, with inflow equal to outflow. A child searches for augmenting paths
-again from X when a new Y vertex lies in the parent's residual reach, from
-the new X vertices outside that reach when there are some, and not at all
-otherwise.
+The flow is kept incrementally, as one residual mask per vertex: a node
+starts from its parent's flow, which stays feasible with the same value
+because every newly assigned vertex was free, with inflow equal to outflow.
+A child searches for augmenting paths again from X when a new Y vertex lies
+in the parent's residual reach, from the new X vertices outside that reach
+when there are some, and not at all otherwise; after a push the next search
+starts where the child's first one did.
 
 Degree propagation forces moves: an assigned vertex with exactly h
 neighbours that are free or on its own side pulls its free neighbours to its
@@ -72,24 +73,28 @@ def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
 
 # -- branch and bound ---------------------------------------------------------
 
-def _augment(adj, out, x, y, value, limit, frontier, seen):
-    """Raise the unit flow `out` from X to Y until its value reaches
-    `limit` or no augmenting path is left. Returns the new value and, when
-    it is below `limit`, the vertices the residual graph reaches from X.
-    The first search starts from `frontier` with `seen` already visited:
-    both X for a search from scratch, or the vertices new to X outside the
-    reach R of the rest of X under a maximum flow, and R plus every new X
-    vertex. Later searches start from X.
+def _augment(adj, res, y, value, limit, frontier, seen):
+    """Raise the unit flow behind the residual masks `res` towards Y until
+    its value reaches `limit` or no augmenting path is left. Returns the new
+    value and, when it is below `limit`, the vertices the residual graph
+    reaches from X. Each search starts from `frontier` with `seen` already
+    visited: both X for a search from scratch, or the vertices new to X
+    outside the reach R of the rest of X under a maximum flow, and R plus
+    every new X vertex; `seen` holds X either way. No residual arc leaves R,
+    and a pushed path never enters R, so every search of the call starts
+    from that same entry.
 
-    Bit w of out[u] is one unit on u->w, and no edge carries flow both ways,
-    so the residual arc u->w exists iff w is adjacent to u and that bit is
-    clear. Each search is a layered BFS that stops at the first layer
-    meeting Y. It then pushes one unit along one shortest path, walking back
-    from the lowest sink one layer at a time over residual arcs and
-    cancelling reverse flow where there is some. Every BFS vertex is reached
-    from the layer before it, so the walk never dead-ends. The callers read
-    only the value and the reach, which are the same for every maximum flow
-    (Ford & Fulkerson 1962), so the choice of path changes no answer."""
+    Bit w of res[u] is the residual arc u->w: w is adjacent to u and u
+    sends no unit to w. No edge carries flow both ways, so a flow with
+    res = adj carries nothing. Each search is a layered BFS that stops at
+    the first layer meeting Y. It then pushes one unit along one shortest
+    path, walking back from the highest sink one layer at a time over
+    residual arcs: a push on u->w cancels w's unit to u where there is one
+    and else clears bit w of res[u]. Every BFS vertex is reached from the
+    layer before it, so the walk never dead-ends. The callers read only the
+    value and the reach, which are the same for every maximum flow (Ford &
+    Fulkerson 1962), so the choice of path changes no answer."""
+    entry = frontier, seen
     while value < limit:
         layers = []
         while not frontier & y:
@@ -97,28 +102,26 @@ def _augment(adj, out, x, y, value, limit, frontier, seen):
                 return value, seen
             layers.append(frontier)
             step = 0
-            t = frontier
-            while t:
-                b = t & -t
-                u = b.bit_length() - 1
-                step |= adj[u] & ~out[u]
-                t ^= b
+            while frontier:
+                u = frontier.bit_length() - 1
+                frontier ^= 1 << u
+                step |= res[u]
             frontier = step & ~seen
             seen |= frontier
-        sinks = frontier & y
-        w = (sinks & -sinks).bit_length() - 1
+        w = (frontier & y).bit_length() - 1
         for layer in reversed(layers):
             t = layer & adj[w]
-            while out[(t & -t).bit_length() - 1] >> w & 1:
-                t &= t - 1
-            u = (t & -t).bit_length() - 1
-            if out[w] >> u & 1:
-                out[w] ^= 1 << u
+            u = t.bit_length() - 1
+            while not res[u] >> w & 1:
+                t ^= 1 << u
+                u = t.bit_length() - 1
+            if res[w] >> u & 1:
+                res[u] ^= 1 << w
             else:
-                out[u] |= 1 << w
+                res[w] |= 1 << u
             w = u
         value += 1
-        frontier = seen = x
+        frontier, seen = entry
     return value, None
 
 
@@ -134,23 +137,24 @@ def _force(adj, x, y, cut, limit, h, check):
     if cut >= limit:
         return None
     while check:
-        b = check & -check
-        check ^= b
-        in_x = x & b
+        u = check.bit_length() - 1
+        check ^= 1 << u
+        in_x = x >> u & 1
         own, other = (x, y) if in_x else (y, x)
-        room = adj[b.bit_length() - 1] & ~other
+        room = adj[u] & ~other
         k = room.bit_count()
         if k < h:
             return None
         if k == h:
             pull = room & ~own
             own |= pull
+            check |= pull
             while pull:
-                c = pull & -pull
-                pull ^= c
-                across = adj[c.bit_length() - 1] & other
+                c = pull.bit_length() - 1
+                pull ^= 1 << c
+                across = adj[c] & other
                 cut += across.bit_count()
-                check |= c | across
+                check |= across
             if cut >= limit:
                 return None
             x, y = (own, other) if in_x else (other, own)
@@ -178,17 +182,17 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     so the search meets the feasible leaves in the same order as without
     forcing: the value and the witness side are exact.
 
-    Each node carries a unit flow (see `_augment`) and its value, and
-    augments only up to `limit`. Every newly assigned vertex was free, with
-    inflow equal to outflow, so the parent's flow stays feasible with the
-    same value: the Y child (explored first) reuses the parent's list and
-    the X child a copy. A maximum flow also leaves the set R its residual
-    graph reaches from X, which holds no Y vertex and has no residual arc
-    leaving it; every maximum flow has the same value and the same R, so no
-    decision depends on which paths `_augment` pushes. A child's search
-    starts again from X if a new Y vertex lies in R; else from the new X
-    vertices outside R, with R and the new X visited, if there are any;
-    else the flow is still maximum and R stays.
+    Each node carries a unit flow as residual masks (see `_augment`) and
+    its value, and augments only up to `limit`. Every newly assigned vertex
+    was free, with inflow equal to outflow, so the parent's flow stays
+    feasible with the same value: the Y child (explored first) reuses the
+    parent's list and the X child a copy. A maximum flow also leaves the
+    set R its residual graph reaches from X, which holds no Y vertex and
+    has no residual arc leaving it; every maximum flow has the same value
+    and the same R, so no decision depends on which paths `_augment`
+    pushes. A child's search starts again from X if a new Y vertex lies in
+    R; else from the new X vertices outside R, with R and the new X
+    visited, if there are any; else the flow is still maximum and R stays.
 
     The search stops once an incumbent reaches `floor`, a value known to be
     minimal. A budget expiry or a KeyboardInterrupt raises
@@ -199,14 +203,15 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     best_side = None
     examined = 0
     monotonic = time.monotonic
-    # stack entries: (i, x, y, cut, flow, flow value, start, seen); a
-    # nonzero start is where the search for augmenting paths begins, with
-    # seen visited, and a zero start marks a maximum flow whose residual
-    # graph reaches exactly seen from X; Y is explored first
-    stack = [(0, 0, 1, 0, [0] * len(adj), 0, 0, 0)]
+    # stack entries: (i, x, y, cut, residual masks, flow value, start,
+    # seen); the root's masks are adj, no flow; a nonzero start is where
+    # the search for augmenting paths begins, with seen visited, and a zero
+    # start marks a maximum flow whose residual graph reaches exactly seen
+    # from X; Y is explored first
+    stack = [(0, 0, 1, 0, list(adj), 0, 0, 0)]
     try:
         while stack:
-            i, x, y, cut, out, value, start, seen = stack.pop()
+            i, x, y, cut, res, value, start, seen = stack.pop()
             examined += 1
             if deadline is not None \
                     and not examined & (_TIME_CHECK_INTERVAL - 1) \
@@ -225,8 +230,7 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
                         break
                 continue
             if start:
-                value, seen = _augment(adj, out, x, y, value, limit, start,
-                                       seen)
+                value, seen = _augment(adj, res, y, value, limit, start, seen)
             if value >= limit:
                 continue
             v = vorder[i]
@@ -247,7 +251,7 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
                 else:
                     warm = (0, seen)
                 stack.append((i + 1, cx, cy, child_cut,
-                              out[:] if cx & bit else out, value, *warm))
+                              res[:] if cx & bit else res, value, *warm))
     except KeyboardInterrupt:
         raise IncompleteSearchError(h, best, best_side, examined,
                                     None) from None

@@ -184,10 +184,10 @@ def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
     # Ctrl-C during level 2, after levels 0 and 1 have finished
     augment = cuts._augment
 
-    def interrupt_at_level_two(adj, out, x, y, value, limit, *rest):
+    def interrupt_at_level_two(adj, res, y, value, limit, *rest):
         if limit == 12 + 1:  # the witness phase of level 2
             raise KeyboardInterrupt
-        return augment(adj, out, x, y, value, limit, *rest)
+        return augment(adj, res, y, value, limit, *rest)
 
     monkeypatch.setattr(cuts, "_augment", interrupt_at_level_two)
     path = tmp_path / "q5.graph"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
@@ -222,13 +224,46 @@ def test_branch_and_bound_dimension_six_mid_level():
 
 
 def test_branch_and_bound_dimension_seven_mid_level():
-    # 126 539 nodes and about 9 s with forced moves; without them the search
-    # was still running after 3.1M nodes and 60 s
+    # 126 539 nodes and about 4 s with forced moves and residual masks;
+    # without forced moves the search was still running after 3.1M nodes
+    # and 60 s
     g = hypercube(7).graph
     report = lambda_sh_exact(g, 4)
     assert report.value == 48 == (1 << 4) * (7 - 4)
     assert is_h_edge_cut(g, report.witness_cut, 4)
     assert report.subsets_examined < 200_000
+
+
+# (value, witness side, nodes) at every level: the search's decisions, which
+# a cheaper node must leave alone; 31 204 nodes over the four members
+_DECISIONS = {
+    "Q5": (lambda: hypercube(5), [
+        (5, 0x2, 96), (8, 0xA, 316), (12, 0xAA, 901), (16, 0xAAAA, 230),
+        (16, 0xAAAAAAAA, 71)]),
+    "HL5": (lambda: random_hl(5, 1), [
+        (5, 0x2, 96), (8, 0xA, 316), (12, 0x6A, 943), (16, 0xFF00, 240),
+        (16, 0xFFFF0000, 66)]),
+    "Q6": (lambda: hypercube(6), [
+        (6, 0x2, 192), (10, 0xA, 1094), (16, 0xAA, 5845),
+        (24, 0xAAAA, 6694), (32, 0xAAAAAAAA, 670),
+        (32, 0xAAAAAAAAAAAAAAAA, 136)]),
+    "HL6": (lambda: random_hl(6, 1), [
+        (6, 0x2, 192), (10, 0xA, 1094), (16, 0xCC, 5988),
+        (24, 0xFF00, 5264), (32, 0xFFFF0000, 618),
+        (32, 0xFFFFFFFF00000000, 142)]),
+}
+
+
+@pytest.mark.parametrize("member", _DECISIONS)
+def test_branch_and_bound_decisions_are_pinned(member):
+    build, expected = _DECISIONS[member]
+    g = build().graph
+    found = []
+    for h in range(len(expected)):
+        report = lambda_sh_exact(g, h)
+        found.append((report.value, report.witness_side,
+                       report.subsets_examined))
+    assert found == expected
 
 
 # -- forced moves ----------------------------------------------------------------
@@ -328,20 +363,27 @@ def _terminals(draw):
     return g, x, y
 
 
+def _flow(g: Graph, res) -> list[int]:
+    """The unit flow behind residual masks: bit w of the result's entry u
+    is one unit on u->w."""
+    return [a & ~r for a, r in zip(g.adj, res)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_terminals(), st.data())
 def test_flow_bound_equals_the_minimum_separating_cut(case, data):
     g, x, y = case
     unreachable = g.num_edges + 1
-    out = [0] * g.order
-    value, reach = cuts._augment(g.adj, out, x, y, 0, unreachable, x, x)
+    res = list(g.adj)
+    value, reach = cuts._augment(g.adj, res, y, 0, unreachable, x, x)
     assert value == _min_separating_cut(g, x, y)
+    out = _flow(g, res)
     _assert_unit_flow(g, out, x, y, value)
     assert reach == _residual_reach(g, out, x)
     assert not reach & y
     # the augmentation stops at the limit
     limit = data.draw(st.integers(0, value))
-    assert cuts._augment(g.adj, [0] * g.order, x, y, 0, limit, x, x)[0] == limit
+    assert cuts._augment(g.adj, list(g.adj), y, 0, limit, x, x)[0] == limit
     # warm start as the search does it after a branch and its forced
     # moves: the flow stays feasible when free vertices join either side,
     # and the reach says where a new path can start
@@ -357,12 +399,13 @@ def test_flow_bound_equals_the_minimum_separating_cut(case, data):
         start, seen = new_x & ~reach, reach | new_x
     else:
         start, seen = 0, reach
-    _assert_unit_flow(g, out, x, y, value)
+    _assert_unit_flow(g, _flow(g, res), x, y, value)
     warm = value
     if start:
-        warm, seen = cuts._augment(g.adj, out, x, y, value, unreachable,
-                                   start, seen)
+        warm, seen = cuts._augment(g.adj, res, y, value, unreachable, start,
+                                   seen)
     assert warm == _min_separating_cut(g, x, y)
+    out = _flow(g, res)
     _assert_unit_flow(g, out, x, y, warm)
     assert seen == _residual_reach(g, out, x)
 
@@ -372,11 +415,60 @@ def test_flow_bound_cancels_reverse_flow():
     # 2->1 against the first unit: 0-4-5-2-1-6-7-3
     g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (2, 5),
                              (1, 6), (6, 7), (3, 7)])
-    out = [0] * g.order
-    value, reach = cuts._augment(g.adj, out, 1, 1 << 3, 0, 10, 1, 1)
+    res = list(g.adj)
+    value, reach = cuts._augment(g.adj, res, 1 << 3, 0, 10, 1, 1)
     assert (value, reach) == (2, 1)
+    out = _flow(g, res)
     _assert_unit_flow(g, out, 1, 1 << 3, value)
     assert not out[1] >> 2 & 1 and not out[2] >> 1 & 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flow_bound_stays_maximum_along_a_chain_of_branches(q4, fig1, seed):
+    # a seeded root-to-leaf path of the search: each step assigns a free
+    # vertex, closes the child under forced moves, and carries the masks,
+    # value and warm start into the next as `_branch_and_bound` does, so
+    # later generations restart from a warm frontier after their pushes
+    rng = random.Random(seed)
+    warm_pushes = 0
+    for hl in (q4, fig1):
+        g, adj = hl.graph, hl.graph.adj
+        unreachable = g.num_edges + 1
+        h = 1 + seed % 2
+        x, y, cut = 0, 1, 0
+        res, value, seen = list(adj), 0, 0
+        while ~(x | y) & g.vertex_mask:
+            v = rng.choice([v for v in range(g.order)
+                            if not (x | y) >> v & 1])
+            bit = 1 << v
+            sides = [(x | bit, y, adj[v] & y), (x, y | bit, adj[v] & x)]
+            rng.shuffle(sides)
+            children = [cuts._force(adj, cx, cy, cut + across.bit_count(),
+                                    unreachable, h, bit | across)
+                        for cx, cy, across in sides]
+            children = [c for c in children if c is not None]
+            if not children:
+                break
+            cx, cy, cut = children[0]
+            new_x = cx & ~x
+            if cy & ~y & seen:
+                start, seen = cx, cx
+            elif new_x & ~seen:
+                start, seen = new_x & ~seen, seen | new_x
+            else:
+                start = 0
+            x, y = cx, cy
+            if start:
+                before = value
+                value, seen = cuts._augment(adj, res, y, value, unreachable,
+                                            start, seen)
+                warm_pushes += start != x and value > before + 1
+            out = _flow(g, res)
+            _assert_unit_flow(g, out, x, y, value)
+            assert value == _min_separating_cut(g, x, y)
+            assert seen == _residual_reach(g, out, x)
+    # some call pushes more than one path from a warm frontier
+    assert warm_pushes
 
 
 @settings(max_examples=15, deadline=None)
