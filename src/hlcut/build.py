@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import json
 
 from .errors import TraceError, UsageError
-from .graph import Graph, MAX_ORDER, mask_of
+from .graph import Graph, MAX_ORDER, mask_of, read_text
 
 MASK64 = (1 << 64) - 1
 
@@ -78,7 +78,7 @@ def realize(trace: Trace) -> Graph:
     order, gives every vertex one matching edge, and links two connected
     halves."""
     order, edges = _realize(trace, "")
-    return Graph.from_edges(order, edges)
+    return Graph(order, edges)
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,12 @@ class HlGraph:
     label: str
 
 
-def from_trace(trace: Trace, label: str | None = None) -> HlGraph:
+def from_trace(trace: Trace, label: str) -> HlGraph:
     """Build an HlGraph from an explicit trace (the entry point for custom
     matchings, e.g. the twisted cube variants)."""
     g = realize(trace)
     n = g.order.bit_length() - 1
-    return HlGraph(g, trace, n, identity_matching(g.order),
-                   label if label is not None else f"HL{n}")
+    return HlGraph(g, trace, n, identity_matching(g.order), label)
 
 
 def _check_dimension(n: int) -> None:
@@ -237,7 +236,7 @@ FIG1_RELABEL: tuple[int, ...] = (0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 1
 
 def fig1_graph() -> HlGraph:
     """The fixed 16-vertex, 32-edge, 4-regular member drawn in the figure."""
-    g = Graph.from_edges(16, FIG1_EDGES)
+    g = Graph(16, FIG1_EDGES)
     return HlGraph(g, FIG1_TRACE, 4, FIG1_RELABEL, "fig1")
 
 
@@ -292,10 +291,9 @@ def trace_from_text(text: str) -> Trace:
 
 
 def write_trace(path, t: Trace) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(trace_to_text(t))
 
 
 def read_trace(path) -> Trace:
-    with open(path, "r", newline="") as fh:
-        return trace_from_text(fh.read())
+    return trace_from_text(read_text(path))

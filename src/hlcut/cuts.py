@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
-from .graph import Edge, Graph, connected_within, keeps_degree
+from .graph import (Edge, Graph, canonical_edge, connected_within,
+                    keeps_degree)
 
 _TIME_CHECK_INTERVAL = 4096
 
@@ -54,13 +55,23 @@ class CutReport:
 
 def is_h_edge_cut(g: Graph, f, h: int) -> bool:
     """True iff removing the edge set f disconnects g while every vertex
-    keeps degree >= h."""
+    keeps degree >= h. Every pair in f must be an edge of g, in either
+    orientation, or a UsageError is raised; an edge listed twice is
+    removed once."""
     if h < 0:
         raise UsageError(f"negative level {h}")
-    adj = g.adj_without(f)
-    if g.order and min(a.bit_count() for a in adj) < h:
-        return False
-    return not connected_within(adj, g.vertex_mask)
+    adj = list(g.adj)
+    for u, v in f:
+        u, v = canonical_edge(u, v)
+        # membership is read from g.adj, not the copy, so a repeat still
+        # counts; u < 0 is tested first, since adj[-1] would wrap
+        if u < 0 or v >= g.order or not g.adj[u] >> v & 1:
+            raise UsageError(f"({u},{v}) is not an edge of the graph")
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    full = g.vertex_mask
+    return keeps_degree(adj, full, full, h) \
+        and not connected_within(adj, full)
 
 
 def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
@@ -276,19 +287,19 @@ def lambda_sh_exact(g: Graph, h: int,
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
     deadline = time.monotonic() + budget if budget is not None else None
+    adj = g.adj
+    full = g.vertex_mask
     # a vertex of degree < h can never keep degree h on either side
-    if g.order < 2 or min(a.bit_count() for a in g.adj) < h:
+    if g.order < 2 or not keeps_degree(adj, full, full, h):
         return CutReport(h, None, None, None, 0)
 
-    adj = g.adj
     best = best_mask = None
     examined = 0
     try:
-        # value phase; a connected graph has no cut below 1
-        by_degree = sorted(range(1, g.order),
-                           key=lambda v: (-adj[v].bit_count(), v))
+        # value phase, deciding vertices in ascending order; a connected
+        # graph has no cut below 1
         best, best_mask, examined = _branch_and_bound(
-            adj, by_degree, h, g.num_edges + 1, 1, deadline)
+            adj, range(1, g.order), h, g.num_edges + 1, 1, deadline)
         if best is not None:
             # witness phase: deciding the most significant vertex first, the
             # first side found at the minimum is the smallest mask

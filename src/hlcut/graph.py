@@ -86,50 +86,21 @@ def connected_within(adj: tuple[int, ...] | list[int], mask: int) -> bool:
     return comp == mask
 
 
-def _check_order(order: int) -> None:
-    if order < 0 or order > MAX_ORDER:
-        raise UsageError(f"order {order} outside supported range 0..{MAX_ORDER}")
-
-
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    `adj[v]` is the neighbor bitmask of v. Construction validates symmetry,
-    absence of loops, and the order cap.
+    `Graph(order, edges)` is the one way to build one. It checks the order
+    cap before allocating anything, then each edge for a loop and for
+    endpoints outside 0..order-1; an edge listed twice is stored once.
+    `adj[v]` is the neighbor bitmask of v, symmetric by construction.
     """
 
     __slots__ = ("order", "adj", "num_edges")
 
-    def __init__(self, order: int, adj: Iterable[int]):
-        _check_order(order)
-        adj = tuple(adj)
-        if len(adj) != order:
-            raise UsageError(f"adjacency has {len(adj)} entries for order {order}")
-        full = (1 << order) - 1
-        half_edges = 0
-        for v, nbrs in enumerate(adj):
-            if nbrs & ~full:
-                raise UsageError(f"vertex {v} has neighbors outside 0..{order - 1}")
-            if nbrs >> v & 1:
-                raise UsageError(f"vertex {v} has a loop")
-            half_edges += nbrs.bit_count()
-            t = nbrs
-            while t:
-                b = t & -t
-                u = b.bit_length() - 1
-                if not adj[u] >> v & 1:
-                    raise UsageError(f"adjacency not symmetric on ({v},{u})")
-                t ^= b
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "num_edges", half_edges // 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    @classmethod
-    def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        _check_order(order)  # before allocating one mask per vertex
+    def __init__(self, order: int, edges: Iterable[tuple[int, int]]):
+        if order < 0 or order > MAX_ORDER:  # before allocating any mask
+            raise UsageError(
+                f"order {order} outside supported range 0..{MAX_ORDER}")
         adj = [0] * order
         for u, v in edges:
             u, v = canonical_edge(u, v)
@@ -137,7 +108,13 @@ class Graph:
                 raise UsageError(f"edge ({u},{v}) outside 0..{order - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(order, adj)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "num_edges",
+                           sum(a.bit_count() for a in adj) // 2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
 
     # -- queries -----------------------------------------------------------
 
@@ -155,11 +132,6 @@ class Graph:
                 out.append((u, b.bit_length() - 1))
                 t ^= b
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.order and 0 <= v < self.order):
-            return False
-        return bool(self.adj[u] >> v & 1)
 
     def _check_vertex_set(self, x: int) -> None:
         if x < 0 or x & ~self.vertex_mask:
@@ -181,23 +153,6 @@ class Graph:
             t ^= b
         out.sort()
         return tuple(out)
-
-    def _check_edges(self, edges: Iterable[tuple[int, int]]) -> list[Edge]:
-        out = []
-        for u, v in edges:
-            e = canonical_edge(u, v)
-            if not self.has_edge(*e):
-                raise UsageError(f"({e[0]},{e[1]}) is not an edge of the graph")
-            out.append(e)
-        return out
-
-    def adj_without(self, removed: Iterable[tuple[int, int]]) -> list[int]:
-        """Adjacency masks of G minus the given edges; validates membership."""
-        adj = list(self.adj)
-        for u, v in self._check_edges(removed):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        return adj
 
     def is_connected(self) -> bool:
         """Connectivity over all vertices; graphs on 0 or 1 vertices are
@@ -261,17 +216,26 @@ def graph_from_text(text: str) -> Graph:
             raise UsageError(f"edges out of ascending order at ({u},{v})")
         prev = (u, v)
         edges.append((u, v))
-    g = Graph.from_edges(order, edges)
+    g = Graph(order, edges)
     if graph_to_text(g) != text:
         raise UsageError("graph text is not in canonical form")
     return g
 
 
 def write_graph(path, g: Graph) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(graph_to_text(g))
 
 
+def read_text(path) -> str:
+    """The whole of an ASCII file, line ends kept as they are. Both file
+    formats are ASCII, so any other byte is a UsageError."""
+    try:
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: byte {exc.start} is not ASCII") from None
+
+
 def read_graph(path) -> Graph:
-    with open(path, "r", newline="") as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(read_text(path))

@@ -40,6 +40,6 @@ def dumps_report(obj) -> str:
 
 
 def write_reports(path, reports) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         for r in reports:
             fh.write(dumps_report(r))

@@ -192,10 +192,17 @@ def reference_restricted_edge_connectivity(edges) -> int:
     return min(together + apart)
 
 
+def to_nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.order))
+    out.add_edges_from(g.edges())
+    return out
+
+
 def random_simple_graph(rng: random.Random, order: int, p: float = 0.45) -> Graph:
     edges = [(u, v) for u in range(order) for v in range(u + 1, order)
              if rng.random() < p]
-    return Graph.from_edges(order, edges)
+    return Graph(order, edges)
 
 
 def left_deep_trace_text(depth: int) -> str:

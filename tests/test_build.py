@@ -76,8 +76,9 @@ def test_hypercube_q3_shape(q3):
 
 
 def test_hypercube_adjacency_is_hamming(q4):
-    assert q4.graph.has_edge(0, 1)
-    assert not q4.graph.has_edge(0, 3)
+    edges = q4.graph.edges()
+    assert (0, 1) in edges
+    assert (0, 3) not in edges
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -180,7 +181,7 @@ def _right_chain(depth):
     (_right_chain(5000), "1" * MAX_DIMENSION + "0"),
 ], ids=["right-balanced-17", "right-chain-5000"])
 def test_realize_caps_the_depth_on_every_path(trace, path):
-    for build in (realize, from_trace):
+    for build in (realize, lambda t: from_trace(t, "deep")):
         start = time.perf_counter()
         with pytest.raises(TraceError) as err:
             build(trace)

@@ -116,7 +116,7 @@ def test_solve_mismatch_exits_nonzero(tmp_path):
              (0, 4), (1, 5)]
     path = tmp_path / "bond.graph"
     from hlcut.graph import Graph
-    write_graph(path, Graph.from_edges(8, edges))
+    write_graph(path, Graph(8, edges))
     assert run("solve", "--graph", path, "--h", 0, "--expect-theorem") == 1
     assert run("solve", "--graph", path, "--h", 0) == 0
 
@@ -157,7 +157,7 @@ def test_solve_usage_errors(tmp_path):
     assert run("solve", "--graph", bad, "--h", 1) == 2
     ring = tmp_path / "ring.graph"
     from hlcut.graph import Graph
-    write_graph(ring, Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]))
+    write_graph(ring, Graph(6, [(i, (i + 1) % 6) for i in range(6)]))
     assert run("solve", "--graph", ring, "--h", "all") == 2  # not 2^n-regular
     q3 = tmp_path / "q3.graph"
     write_graph(q3, hypercube(3).graph)
@@ -334,6 +334,20 @@ def test_internal_error_exits_4(tmp_path, monkeypatch, capsys):
     assert run("solve", "--graph", path, "--h", 1) == 4
     err = capsys.readouterr().err
     assert "internal error: RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--graph"), ("kappa", "--graph"), ("verify", "--trace")])
+def test_non_ascii_input_is_a_usage_error(tmp_path, capsys, command, flag):
+    # both file formats are ASCII; a UTF-16 byte-order mark is bad input,
+    # not a bug
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xff\xfe1 0\n")
+    extra = ("--lemma", "3.2") if command == "verify" else ()
+    assert run(command, flag, path, "--h", 0, *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not ASCII" in err
+    assert "Traceback" not in err
 
 
 # -- verify ------------------------------------------------------------------------

@@ -17,14 +17,8 @@ from hlcut.cli import main
 from hlcut.graph import Graph
 
 from conftest import (hl_members, reference_min_cut,
-                      reference_restricted_edge_connectivity, small_graphs)
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.order))
-    out.add_edges_from(g.edges())
-    return out
+                      reference_restricted_edge_connectivity, small_graphs,
+                      to_nx)
 
 
 # -- is_h_edge_cut -----------------------------------------------------------------
@@ -49,6 +43,23 @@ def test_isolating_cut_fails_degree_condition(q3):
 def test_cut_predicate_rejects_non_edges(q3):
     with pytest.raises(UsageError):
         is_h_edge_cut(q3.graph, [(0, 7)], 1)
+
+
+@pytest.mark.parametrize("edge", [(3, -1), (-1, 7), (0, 8), (8, 12)])
+def test_cut_predicate_rejects_endpoints_outside_the_graph(q3, edge):
+    # vertex -1 must not wrap to 7, whose neighbours include 3
+    with pytest.raises(UsageError):
+        is_h_edge_cut(q3.graph, [edge], 0)
+
+
+def test_cut_predicate_counts_a_repeated_edge_once(q3):
+    top = [e for e in q3.graph.edges() if (e[0] < 4) != (e[1] < 4)]
+    twice = top + [(v, u) for u, v in top]
+    for h in range(4):
+        assert is_h_edge_cut(q3.graph, twice, h) == \
+            is_h_edge_cut(q3.graph, top, h)
+        assert is_h_edge_cut(q3.graph, [(0, 1), (1, 0)], h) == \
+            is_h_edge_cut(q3.graph, [(0, 1)], h)
 
 
 # -- canonical cut -----------------------------------------------------------------
@@ -177,26 +188,12 @@ def test_level_one_matches_restricted_edge_connectivity():
             reference_restricted_edge_connectivity(hl.graph.edges()) == 10
 
 
-def _irregular_connected(g: Graph) -> bool:
-    return g.is_connected() and len({a.bit_count() for a in g.adj}) > 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_graphs().filter(_irregular_connected))
-def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
-    # degrees differ here, which the regular family never exercises; the
-    # oracle is the exhaustive loop over every bipartition
-    for h in range(min(a.bit_count() for a in g.adj) + 2):
-        report = lambda_sh_exact(g, h)
-        assert (report.value, report.witness_side) == \
-            reference_min_cut(g.order, g.edges(), h)
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(small_graphs().filter(Graph.is_connected))
 def test_branch_and_bound_matches_reference_min_cut(g):
     # forced moves may drop only completions that leave some vertex below
-    # degree h, so value and lexmin side match the plain loop
+    # degree h, so value and lexmin side match the plain loop; most draws
+    # are irregular, which the regular family never exercises
     for h in range(min(a.bit_count() for a in g.adj) + 2):
         report = lambda_sh_exact(g, h)
         found = (report.value, report.witness_side)
@@ -269,7 +266,7 @@ def test_branch_and_bound_decisions_are_pinned(member):
 # -- forced moves ----------------------------------------------------------------
 
 def _cycle(order: int) -> Graph:
-    return Graph.from_edges(order, [(v, (v + 1) % order) for v in range(order)])
+    return Graph(order, [(v, (v + 1) % order) for v in range(order)])
 
 
 def _seed(adj, v: int, other: int) -> int:
@@ -291,7 +288,7 @@ def test_force_runs_a_chain_to_its_fixpoint():
 
 def test_force_fails_when_a_vertex_falls_below_h():
     # a star around the anchor: a leaf in X keeps no neighbour off Y
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).adj
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)]).adj
     assert cuts._force(star, 1 << 1, 1, 1, 10, 1, _seed(star, 1, 1)) is None
     assert cuts._force(star, 1 << 1, 1, 1, 10, 0, _seed(star, 1, 1)) == \
         (1 << 1, 1, 1)
@@ -413,7 +410,7 @@ def test_flow_bound_equals_the_minimum_separating_cut(case, data):
 def test_flow_bound_cancels_reverse_flow():
     # the only shortest path 0-1-2-3 blocks the second path, which must run
     # 2->1 against the first unit: 0-4-5-2-1-6-7-3
-    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (2, 5),
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (2, 5),
                              (1, 6), (6, 7), (3, 7)])
     res = list(g.adj)
     value, reach = cuts._augment(g.adj, res, 1 << 3, 0, 10, 1, 1)
@@ -486,14 +483,14 @@ def test_solver_witness_is_always_a_valid_cut(hl):
 # -- guards and budgets ---------------------------------------------------------------
 
 def test_disconnected_input_rejected():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(UsageError):
         lambda_sh_exact(g, 0)
 
 
 def test_gate_caps_the_subset_scans_at_32_vertices():
     # only the subset scans are gated; the cut search takes any order
-    ring = Graph.from_edges(40, [(i, (i + 1) % 40) for i in range(40)])
+    ring = Graph(40, [(i, (i + 1) % 40) for i in range(40)])
     assert lambda_sh_exact(ring, 0).value == 2
     with pytest.raises(UsageError, match="order 64 exceeds the subset-scan "
                                          "cap of 32 vertices") as err:

@@ -23,14 +23,7 @@ from hlcut import (KappaReport, UsageError, fig1_graph, hypercube,
 from hlcut.graph import Graph
 
 from conftest import (random_simple_graph, reference_induced_min_degree,
-                      reference_kappa)
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.order))
-    out.add_edges_from(g.edges())
-    return out
+                      reference_kappa, to_nx)
 
 
 # -- predicate -------------------------------------------------------------------
@@ -164,12 +157,12 @@ def test_search_matches_reference_on_sparse_and_order_11_graphs():
 @pytest.mark.parametrize("order,edges", [(0, []), (1, []), (2, []),
                                          (2, [(0, 1)])])
 def test_search_matches_reference_on_tiny_graphs(order, edges):
-    assert_matches_reference(Graph.from_edges(order, edges))
+    assert_matches_reference(Graph(order, edges))
 
 
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_disconnected_graph_needs_no_removal(h):
-    squares = Graph.from_edges(8, [(0, 1), (1, 3), (3, 2), (2, 0),
+    squares = Graph(8, [(0, 1), (1, 3), (3, 2), (2, 0),
                                    (4, 5), (5, 7), (7, 6), (6, 4)])
     assert kappa_sh_exact(squares, h) == KappaReport(h, True, 0, 0, 1)
     assert not kappa_sh_exact(squares, 3).exists
@@ -218,7 +211,7 @@ def test_order_32_level3_nonexistence_is_decided():
 
 
 def test_scan_is_gated():
-    ring = Graph.from_edges(34, [(i, (i + 1) % 34) for i in range(34)])
+    ring = Graph(34, [(i, (i + 1) % 34) for i in range(34)])
     with pytest.raises(UsageError):
         kappa_sh_exact(ring, 0)
 

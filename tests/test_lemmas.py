@@ -189,7 +189,7 @@ def test_level_out_of_range_rejected(q4, monkeypatch):
 # -- a failing graph produces a re-checkable counterexample -----------------------
 
 def test_star_violates_boundary_bound():
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     bounds = _bounds(2, 0)
     v37 = _scan(star, LEMMA_37, 0, bounds[LEMMA_37], "star")
     assert not v37.holds

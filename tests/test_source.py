@@ -1,8 +1,8 @@
 """Source hygiene the stdlib can check: every name a package module imports
 is used in that module, and every public method of a package class and every
-public module-level function is used by package code. `__init__.py` only
-re-exports, and `__future__` imports are directives, so both are exempt from
-the import check."""
+public module-level function is used by package code, and every `open` names
+its encoding. `__init__.py` only re-exports, and `__future__` imports are
+directives, so both are exempt from the import check."""
 
 from __future__ import annotations
 
@@ -106,3 +106,16 @@ def test_every_public_function_is_called_by_the_package():
             break
         dead |= newly
     assert not dead, f"public functions no package code calls: {sorted(dead)}"
+
+
+def test_every_open_names_its_encoding():
+    # without encoding= the bytes a file holds depend on the locale; the
+    # graph and trace formats and the reports are ASCII
+    bare = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "open" \
+                    and not any(k.arg == "encoding" for k in node.keywords):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert not bare, f"open() without encoding=: {bare}"
