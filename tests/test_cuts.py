@@ -188,12 +188,26 @@ def test_level_one_matches_restricted_edge_connectivity():
             reference_restricted_edge_connectivity(hl.graph.edges()) == 10
 
 
-@settings(max_examples=120, deadline=None)
+def _irregular_connected(g: Graph) -> bool:
+    return g.is_connected() and len({a.bit_count() for a in g.adj}) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs().filter(_irregular_connected))
+def test_branch_and_bound_matches_exhaustive_on_irregular_graphs(g):
+    # degrees differ here, which the regular family never exercises; the
+    # oracle is the exhaustive loop over every bipartition
+    for h in range(min(a.bit_count() for a in g.adj) + 2):
+        report = lambda_sh_exact(g, h)
+        assert (report.value, report.witness_side) == \
+            reference_min_cut(g.order, g.edges(), h)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_graphs().filter(Graph.is_connected))
 def test_branch_and_bound_matches_reference_min_cut(g):
     # forced moves may drop only completions that leave some vertex below
-    # degree h, so value and lexmin side match the plain loop; most draws
-    # are irregular, which the regular family never exercises
+    # degree h, so value and lexmin side match the plain loop
     for h in range(min(a.bit_count() for a in g.adj) + 2):
         report = lambda_sh_exact(g, h)
         found = (report.value, report.witness_side)

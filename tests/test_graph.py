@@ -111,6 +111,11 @@ def test_graph_construction_rejects_loops():
         Graph(2, [(0, 0)])
 
 
+def test_graph_rejects_order_above_cap():
+    with pytest.raises(UsageError):
+        Graph(MAX_ORDER + 1, [])
+
+
 @pytest.mark.parametrize("order", [MAX_ORDER + 1, 99999999999999999999])
 def test_header_order_checked_before_allocation(order):
     # the second order is too large to size a list at all
