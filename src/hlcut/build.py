@@ -60,8 +60,6 @@ def _realize(trace: Trace, path: str) -> tuple[int, list[tuple[int, int]]]:
     if lo != ro:
         raise TraceError(f"unbalanced subtrees: left order {lo}, right order {ro}", path)
     sigma = trace.sigma
-    if len(sigma) != lo:
-        raise TraceError(f"matching length {len(sigma)} != block order {lo}", path)
     if sorted(sigma) != list(range(lo)):
         raise TraceError("matching is not a bijection", path)
     edges = left_edges

@@ -25,20 +25,18 @@ from .reports import write_reports
 OK, MISMATCH, USAGE, INCOMPLETE, INTERNAL = 0, 1, 2, 3, 4
 
 
-def _parse_h(value: str, top: int, allow_all: bool = True) -> list[int]:
+def _parse_h(value: str, top: int) -> list[int]:
+    """The levels `--h` names: 0..top for 'all', else the one integer. The
+    solvers and checkers reject a level outside their range."""
     if value == "all":
-        if not allow_all:
-            raise UsageError("'all' is not accepted here")
         if top < 0:
-            raise UsageError("graph admits no levels to sweep")
+            raise UsageError("--h all has no levels to sweep here; "
+                             "give a numeric --h")
         return list(range(top + 1))
     try:
-        h = int(value)
+        return [int(value)]
     except ValueError:
         raise UsageError(f"--h must be an integer or 'all', got {value!r}") from None
-    if h < 0:
-        raise UsageError(f"--h must be nonnegative, got {h}")
-    return [h]
 
 
 def _infer_dimension(g: Graph) -> int | None:
@@ -83,9 +81,6 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     g = read_graph(args.graph)
     n = _infer_dimension(g)
-    if args.h == "all" and n is None:
-        raise UsageError("cannot infer the dimension of this graph; "
-                         "give a numeric --h instead of 'all'")
     if args.expect_theorem and n is None:
         raise UsageError("--expect-theorem needs a 2^n-vertex n-regular graph")
     levels = _parse_h(args.h, n - 1 if n is not None else -1)
@@ -147,7 +142,7 @@ def cmd_verify(args) -> int:
 
 def cmd_kappa(args) -> int:
     g = read_graph(args.graph)
-    levels = _parse_h(args.h, -1, allow_all=False)
+    levels = _parse_h(args.h, -1)
     report = kappa_sh_exact(g, levels[0])
     if report.exists:
         print(f"h={report.h}: exists, value {report.value}, "
@@ -161,7 +156,7 @@ def cmd_kappa(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hlcut",
         description="Exact edge- and vertex-fault tolerance lab for "
@@ -210,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

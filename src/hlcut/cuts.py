@@ -26,7 +26,9 @@ neighbours that are free or on its own side pulls its free neighbours to its
 side, to a fixpoint, and a vertex left with fewer than h fails the branch. A
 forced move drops only completions in which some vertex ends below degree
 h, so the search still meets the feasible cuts in the same order, and the
-result and its witness are exact.
+result and its witness are exact. The same checks settle the degree
+condition: a vertex is checked when assigned and again whenever a neighbour
+joins the other side, so a leaf needs only a nonempty X.
 """
 
 from __future__ import annotations
@@ -191,7 +193,10 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     assigned are skipped. A forced move drops only completions in which some
     vertex ends below degree h, and skipping a vertex only fixes its side,
     so the search meets the feasible leaves in the same order as without
-    forcing: the value and the witness side are exact.
+    forcing: the value and the witness side are exact. A leaf needs only a
+    nonempty X: the caller has checked the anchor's degree, `_force` checks
+    every other vertex as it is assigned, and re-checks each one that loses
+    a neighbour to the other side, so every side keeps degree h at a leaf.
 
     Each node carries a unit flow as residual masks (see `_augment`) and
     its value, and augments only up to `limit`. Every newly assigned vertex
@@ -233,8 +238,7 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
             while i < depth and (x | y) >> vorder[i] & 1:
                 i += 1
             if i == depth:
-                if x and keeps_degree(adj, x, x, h) \
-                        and keeps_degree(adj, y, y, h):
+                if x:
                     best = limit = cut
                     best_side = x
                     if cut <= floor:

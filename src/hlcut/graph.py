@@ -133,13 +133,14 @@ class Graph:
                 t ^= b
         return out
 
-    def _check_vertex_set(self, x: int) -> None:
+    def check_vertex_set(self, x: int) -> None:
+        """UsageError unless `x` is a vertex set of this graph."""
         if x < 0 or x & ~self.vertex_mask:
             raise UsageError("vertex set outside the graph's vertex range")
 
     def edge_boundary(self, x: int) -> tuple[Edge, ...]:
         """Edges with exactly one endpoint in `x`, sorted ascending."""
-        self._check_vertex_set(x)
+        self.check_vertex_set(x)
         out = []
         t = x
         while t:
@@ -185,36 +186,22 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        raise UsageError("graph text must end with a newline")
-    lines = lines[:-1]
-    if not lines:
-        raise UsageError("empty graph text")
-    head = lines[0].split(" ")
-    if len(head) != 2:
-        raise UsageError("header must be '<order> <edge-count>'")
+    """Parse the text format. Each line must hold two integers, and `Graph`
+    checks the order cap, loops and endpoint ranges. The one form check is
+    the round trip: the text must equal `graph_to_text` of the graph it
+    describes, which settles the final newline, the edge count, the
+    (min, max) form, the ascending order and the spelling of every number."""
+    head, *lines = text.split("\n")
     try:
-        order, count = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise UsageError(f"bad header {lines[0]!r}") from exc
-    if len(lines) - 1 != count:
-        raise UsageError(f"header promises {count} edges, found {len(lines) - 1}")
-    edges: list[Edge] = []
-    prev = None
-    for ln in lines[1:]:
-        parts = ln.split(" ")
-        if len(parts) != 2:
-            raise UsageError(f"bad edge line {ln!r}")
+        order, _ = map(int, head.split(" "))
+    except ValueError:
+        raise UsageError(f"bad header {head!r}") from None
+    edges = []
+    for ln in lines[:-1]:  # the last piece follows the final newline
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise UsageError(f"bad edge line {ln!r}") from exc
-        if not u < v:
-            raise UsageError(f"edge ({u},{v}) not in (min,max) form")
-        if prev is not None and not prev < (u, v):
-            raise UsageError(f"edges out of ascending order at ({u},{v})")
-        prev = (u, v)
+            u, v = map(int, ln.split(" "))
+        except ValueError:
+            raise UsageError(f"bad edge line {ln!r}") from None
         edges.append((u, v))
     g = Graph(order, edges)
     if graph_to_text(g) != text:

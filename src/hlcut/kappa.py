@@ -40,8 +40,7 @@ def is_h_vertex_cut(g: Graph, s: int, h: int) -> bool:
     vertex keeps degree >= h. Requires at least two survivors."""
     if h < 0:
         raise UsageError(f"negative level {h}")
-    if s < 0 or s & ~g.vertex_mask:
-        raise UsageError("vertex set outside the graph's vertex range")
+    g.check_vertex_set(s)
     rest = g.vertex_mask ^ s
     if rest.bit_count() < 2:
         raise UsageError("removal must leave at least two vertices")

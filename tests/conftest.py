@@ -235,6 +235,22 @@ def hl_members(draw, max_n: int = 5) -> HlGraph:
     return random_hl(n, seed)
 
 
+@st.composite
+def mutated(draw, texts: list[str], alphabet: str) -> str:
+    """One of `texts` with up to three characters replaced, inserted or
+    deleted; new characters come from `alphabet`."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(alphabet))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + (c if op == "replace" else "") + text[i + 1:]
+    return text
+
+
 # keys of the report and trace schemas, so random objects reach past the
 # first checks of each parser
 _SCHEMA_KEYS = st.sampled_from(["report", "cut", "lemma", "kappa", "h",

@@ -16,7 +16,7 @@ from hlcut import cuts
 from hlcut.cli import main
 from hlcut.graph import Graph
 
-from conftest import (hl_members, reference_min_cut,
+from conftest import (hl_members, random_simple_graph, reference_min_cut,
                       reference_restricted_edge_connectivity, small_graphs,
                       to_nx)
 
@@ -317,6 +317,45 @@ def test_force_fails_when_forced_edges_reach_the_limit():
 
 
 # -- the flow bound ------------------------------------------------------------------
+
+def _keeps_room(adj, x: int, y: int, h: int) -> bool:
+    """Every assigned vertex has at least h neighbours off the other side."""
+    return all((adj[u] & ~(y if x >> u & 1 else x)).bit_count() >= h
+               for u in range(len(adj)) if (x | y) >> u & 1)
+
+
+@pytest.mark.parametrize("h", range(4))
+def test_force_keeps_every_assigned_vertex_at_degree_h(q4, fig1, h):
+    # the leaf of `_branch_and_bound` tests only that X is nonempty; along
+    # seeded branch chains, every successful `_force` leaves each assigned
+    # vertex h neighbours off the other side, which at a leaf is minimum
+    # degree h on both sides
+    rng = random.Random(h)
+    graphs = [q4.graph, fig1.graph]
+    while len(graphs) < 12:
+        g = random_simple_graph(rng, rng.randint(5, 12), 0.55)
+        if _irregular_connected(g) \
+                and min(a.bit_count() for a in g.adj) >= h:
+            graphs.append(g)
+    for g in graphs:
+        adj, unreachable = g.adj, g.num_edges + 1
+        for _ in range(20):
+            x, y, cut = 0, 1, 0
+            while ~(x | y) & g.vertex_mask:
+                v = rng.choice([v for v in range(g.order)
+                                if not (x | y) >> v & 1])
+                bit = 1 << v
+                sides = [(x | bit, y, adj[v] & y), (x, y | bit, adj[v] & x)]
+                rng.shuffle(sides)
+                children = [cuts._force(adj, cx, cy, cut + across.bit_count(),
+                                        unreachable, h, bit | across)
+                            for cx, cy, across in sides]
+                children = [c for c in children if c is not None]
+                if not children:
+                    break
+                x, y, cut = children[0]
+                assert _keeps_room(adj, x, y, h)
+
 
 def _min_separating_cut(g: Graph, x: int, y: int) -> int:
     """Smallest |boundary(S)| over every S with X <= S <= V - Y, by brute

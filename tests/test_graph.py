@@ -13,7 +13,7 @@ from hlcut import (Graph, UsageError, graph_from_text, graph_to_text, hypercube,
                    is_h_edge_cut, mask_of)
 from hlcut.graph import MAX_ORDER, keeps_degree
 
-from conftest import (random_simple_graph, reference_adjacency,
+from conftest import (mutated, random_simple_graph, reference_adjacency,
                       reference_connected, reference_induced_min_degree,
                       small_graphs)
 
@@ -193,7 +193,30 @@ def test_text_round_trip_random_graphs():
     "2 1\n0  1\n",                     # non-canonical spacing
     "x 1\n0 1\n",                      # bad header
     "2 1\n0 2\n",                      # endpoint out of range
+    # int() takes these; only the round trip refuses them
+    "2 1\n00 1\n",                     # leading zero
+    "2 1\n+0 1\n",                     # plus sign
+    "11 1\n0 1_0\n",                   # digit separator
+    "3 2\n0 1\n0 1\n",                 # an edge listed twice
+    "2 1\n0 1\n\n",                    # blank trailing line
+    "2 1\r\n0 1\r\n",                  # CRLF line ends
 ])
 def test_text_rejects_malformed(bad):
     with pytest.raises(UsageError):
         graph_from_text(bad)
+
+
+_TEXTS = [graph_to_text(g) for g in (hypercube(2).graph, hypercube(3).graph,
+                                     Graph(4, [(0, 3), (1, 3)]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(_TEXTS, "0123456789 \n\r+_-x"))
+def test_text_reader_accepts_only_its_own_output(text):
+    # the round trip is the reader's one form check: a text either fails
+    # with a UsageError or is exactly what the writer gives for its graph
+    try:
+        g = graph_from_text(text)
+    except UsageError:
+        return
+    assert graph_to_text(g) == text
