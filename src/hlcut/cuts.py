@@ -29,6 +29,21 @@ h, so the search still meets the feasible cuts in the same order, and the
 result and its witness are exact. The same checks settle the degree
 condition: a vertex is checked when assigned and again whenever a neighbour
 joins the other side, so a leaf needs only a nonempty X.
+
+The value phase follows the paper's induction on n wherever the graph is
+the join of its two aligned label halves L and R by a perfect matching, as
+every family member above order 32 is in the labels `realize` gives it. A
+cut whose sides both meet both halves (case A) cuts L and R into sides that
+keep minimum degree h-1 (0 at h=0), since each vertex loses only its
+matching partner; so it is at least the sum of the two halves' values at
+that level, computed the same way. Every other cut keeps a whole half on
+one side (case B), and two searches, each with one half pinned to Y, find
+case B's minimum below that bound. Where case B has a cut within the bound,
+its minimum is the value; where it has none, the whole graph is searched
+below case B's best, or below every edge when case B found nothing, since
+a case-B search capped at the bound says nothing about cuts above it. The
+witness phase always searches the whole graph, so the witness side is the
+same lexicographically smallest one either way.
 """
 
 from __future__ import annotations
@@ -42,6 +57,9 @@ from .graph import (Edge, Graph, canonical_edge, connected_within,
                     keeps_degree)
 
 _TIME_CHECK_INTERVAL = 4096
+# Graphs up to this order are searched whole; larger joins are split (see
+# `_value`)
+_BASE_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -174,11 +192,11 @@ def _force(adj, x, y, cut, limit, h, check):
     return x, y, cut
 
 
-def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
+def _branch_and_bound(adj, vorder, h, limit, floor, deadline, root, done):
     """Cheapest side X with cut < `limit`, deciding the vertices of `vorder`
-    in that order; the anchor 0 is pre-assigned to the complement Y.
-    Returns (best_value, best_side, examined), (None, None, examined) when
-    no such side exists.
+    in that order; the vertices of `root` (the anchor 0 alone, except in
+    case B) are pre-assigned to the complement Y. Returns (best_value,
+    best_side, examined), (None, None, examined) when no such side exists.
 
     Each vertex tries Y first, so among cuts of equal value the first found
     leaves the earlier vertices of `vorder` out of X. Bounds, against the
@@ -194,9 +212,10 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     vertex ends below degree h, and skipping a vertex only fixes its side,
     so the search meets the feasible leaves in the same order as without
     forcing: the value and the witness side are exact. A leaf needs only a
-    nonempty X: the caller has checked the anchor's degree, `_force` checks
-    every other vertex as it is assigned, and re-checks each one that loses
-    a neighbour to the other side, so every side keeps degree h at a leaf.
+    nonempty X: the caller has checked the degree of every vertex of
+    `root`, `_force` checks every other vertex as it is assigned, and
+    re-checks each one that loses a neighbour to the other side, so every
+    side keeps degree h at a leaf.
 
     Each node carries a unit flow as residual masks (see `_augment`) and
     its value, and augments only up to `limit`. Every newly assigned vertex
@@ -211,20 +230,23 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
     visited, if there are any; else the flow is still maximum and R stays.
 
     The search stops once an incumbent reaches `floor`, a value known to be
-    minimal. A budget expiry or a KeyboardInterrupt raises
-    IncompleteSearchError with the incumbent and its side; an interrupt
-    carries budget None."""
+    minimal. `done` nodes of the same call came before this search: the
+    deadline is read whenever the call's count reaches a multiple of
+    _TIME_CHECK_INTERVAL, however many searches the call makes. A budget
+    expiry or a KeyboardInterrupt raises IncompleteSearchError with the
+    incumbent, its side and this search's nodes; an interrupt carries
+    budget None."""
     depth = len(vorder)
     best = None
     best_side = None
-    examined = 0
+    examined = done
     monotonic = time.monotonic
     # stack entries: (i, x, y, cut, residual masks, flow value, start,
     # seen); the root's masks are adj, no flow; a nonzero start is where
     # the search for augmenting paths begins, with seen visited, and a zero
     # start marks a maximum flow whose residual graph reaches exactly seen
     # from X; Y is explored first
-    stack = [(0, 0, 1, 0, list(adj), 0, 0, 0)]
+    stack = [(0, 0, root, 0, list(adj), 0, 0, 0)]
     try:
         while stack:
             i, x, y, cut, res, value, start, seen = stack.pop()
@@ -232,7 +254,8 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
             if deadline is not None \
                     and not examined & (_TIME_CHECK_INTERVAL - 1) \
                     and monotonic() > deadline:
-                raise IncompleteSearchError(h, best, best_side, examined, 0.0)
+                raise IncompleteSearchError(h, best, best_side,
+                                            examined - done, 0.0)
             if cut >= limit:
                 continue
             while i < depth and (x | y) >> vorder[i] & 1:
@@ -268,9 +291,107 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline):
                 stack.append((i + 1, cx, cy, child_cut,
                               res[:] if cx & bit else res, value, *warm))
     except KeyboardInterrupt:
-        raise IncompleteSearchError(h, best, best_side, examined,
+        raise IncompleteSearchError(h, best, best_side, examined - done,
                                     None) from None
-    return best, best_side, examined
+    return best, best_side, examined - done
+
+
+def _split(adj) -> int:
+    """Half the order when the graph is the join of its aligned halves
+    L = 0..m-1 and R = m..2m-1, else 0. It is a join when the order is a
+    power of two above _BASE_ORDER, every vertex has exactly one neighbour
+    in the other half, and both halves are connected. `realize` labels
+    every member this way, so a member's graph file splits without its
+    trace; smaller graphs and other labellings are searched whole."""
+    order = len(adj)
+    if order <= _BASE_ORDER or order & (order - 1):
+        return 0
+    m = order >> 1
+    lo = (1 << m) - 1
+    hi = lo << m
+    for v, a in enumerate(adj):
+        if (a & (hi if v < m else lo)).bit_count() != 1:
+            return 0
+    if connected_within(adj, lo) and connected_within(adj, hi):
+        return m
+    return 0
+
+
+def _value(adj, h, deadline, done):
+    """(value, side, examined): the minimum cut of the connected graph
+    `adj` at level h and a side attaining it, which may hold vertex 0;
+    (None, None, examined) when no cut exists. `done` nodes of the same
+    call came before it (see `_branch_and_bound`).
+
+    A graph that does not `_split` is searched whole, with vertex 0 in Y.
+    One that does is solved by the induction of the module docstring: this
+    function on both halves at level max(h-1, 0) bounds case A, two
+    searches with one half pinned to Y cover case B, and the whole graph
+    is searched when case B has no cut within the bound. The aligned block
+    {0..2^h-1}, where both it and the rest keep degree h, seeds the
+    incumbent and case B's first limit. An expiry or an interrupt in a
+    half hands back this graph's incumbent, never the half's."""
+    order = len(adj)
+    full = (1 << order) - 1
+    # a vertex of degree < h can never keep degree h on either side
+    if order < 2 or not keeps_degree(adj, full, full, h):
+        return None, None, 0
+    edges = sum(a.bit_count() for a in adj) // 2
+    m = _split(adj)
+    if not m:
+        # vertex 0 stays in Y; a connected graph has no cut below 1
+        return _branch_and_bound(adj, range(1, order), h, edges + 1, 1,
+                                 deadline, 1, done)
+    lo = (1 << m) - 1
+    best = side = None
+    k = 1 << h
+    if k < order:
+        block = (1 << k) - 1
+        if keeps_degree(adj, block, block, h) \
+                and keeps_degree(adj, full ^ block, full ^ block, h):
+            best, side = sum((a >> k).bit_count() for a in adj[:k]), \
+                full ^ block
+    examined = 0
+    try:
+        bound = 0
+        for half in [a & lo for a in adj[:m]], [a >> m for a in adj[m:]]:
+            value, _, nodes = _value(half, max(h - 1, 0), deadline,
+                                     done + examined)
+            examined += nodes
+            if value is None:
+                bound = None
+                break
+            bound += value
+    except IncompleteSearchError as exc:
+        raise IncompleteSearchError(h, best, side,
+                                    examined + exc.subsets_examined,
+                                    exc.budget) from None
+    limit = edges + 1 if bound is None else bound + 1
+    if best is not None:
+        limit = min(limit, best)
+    try:
+        # case B: R pinned to Y deciding L, then L pinned deciding R
+        for vorder, root in (range(m), full ^ lo), (range(m, order), lo):
+            found, x, nodes = _branch_and_bound(adj, vorder, h, limit, 1,
+                                                deadline, root,
+                                                done + examined)
+            examined += nodes
+            if found is not None:
+                best = limit = found
+                side = x
+        if bound is not None and (best is None or best > bound):
+            best, side, nodes = _branch_and_bound(
+                adj, range(1, order), h,
+                edges + 1 if best is None else best + 1, 1, deadline, 1,
+                done + examined)
+            examined += nodes
+    except IncompleteSearchError as exc:
+        if exc.best_value is not None:  # below every incumbent so far
+            best, side = exc.best_value, exc.best_side
+        raise IncompleteSearchError(h, best, side,
+                                    examined + exc.subsets_examined,
+                                    exc.budget) from None
+    return best, side, examined
 
 
 def lambda_sh_exact(g: Graph, h: int,
@@ -279,10 +400,10 @@ def lambda_sh_exact(g: Graph, h: int,
     >= h, with a witness side; value None after a complete search finds no
     such cut.
 
-    Branch-and-bound computes the exact value first and then reconstructs
-    the lexicographically smallest witness. A budget (seconds) turns an
-    overlong search into IncompleteSearchError carrying the best
-    incumbent."""
+    The value phase (`_value`) computes the exact value first, and a
+    branch-and-bound witness phase then reconstructs the lexicographically
+    smallest witness. A budget (seconds) turns an overlong search into
+    IncompleteSearchError carrying the best incumbent."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if budget is not None and not budget >= 0:  # also rejects NaN
@@ -291,30 +412,24 @@ def lambda_sh_exact(g: Graph, h: int,
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
     deadline = time.monotonic() + budget if budget is not None else None
-    adj = g.adj
-    full = g.vertex_mask
-    # a vertex of degree < h can never keep degree h on either side
-    if g.order < 2 or not keeps_degree(adj, full, full, h):
-        return CutReport(h, None, None, None, 0)
-
     best = best_mask = None
     examined = 0
     try:
-        # value phase, deciding vertices in ascending order; a connected
-        # graph has no cut below 1
-        best, best_mask, examined = _branch_and_bound(
-            adj, range(1, g.order), h, g.num_edges + 1, 1, deadline)
+        best, best_mask, examined = _value(g.adj, h, deadline, 0)
         if best is not None:
             # witness phase: deciding the most significant vertex first, the
             # first side found at the minimum is the smallest mask
             _, best_mask, extra = _branch_and_bound(
-                adj, range(g.order - 1, 0, -1), h, best + 1, best, deadline)
+                g.adj, range(g.order - 1, 0, -1), h, best + 1, best,
+                deadline, 1, examined)
             examined += extra
             if best_mask is None:
                 raise AssertionError("no witness at the proven minimum value")
     except IncompleteSearchError as exc:
         if best is None:  # otherwise the value phase's side attains `best`
             best, best_mask = exc.best_value, exc.best_side
+        if best_mask is not None and best_mask & 1:  # a case-B side
+            best_mask ^= g.vertex_mask
         # an interrupt (budget None) stays one; an expiry names the budget
         raise IncompleteSearchError(
             h, best, best_mask, examined + exc.subsets_examined,

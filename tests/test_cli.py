@@ -174,8 +174,8 @@ def test_solve_oversized_header_is_a_usage_error(tmp_path, order):
 
 def test_solve_budget_exhaustion_exit_code(tmp_path):
     path = tmp_path / "hl7.graph"
-    # h=3 takes about 150k nodes and several seconds, far past the 0.02 s
-    # budget; the first deadline check comes at node 4096
+    # h=3 takes 23 590 nodes and about 0.4 s, far past the 0.02 s budget;
+    # the first deadline check comes at node 4096
     write_graph(path, random_hl(7, 1).graph)
     assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02) == 3
 
@@ -293,18 +293,18 @@ def test_kappa_interrupt_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
-    path = tmp_path / "hl6.graph"
+    path = tmp_path / "hl7.graph"
     out = tmp_path / "reports.jsonl"
-    # h=0 and h=1 finish in 192 and 1 094 nodes, before the first deadline
-    # check at node 4096; h=2 needs 5 988 and expires at that check
-    write_graph(path, random_hl(6, 1).graph)
+    # h=0 and h=1 finish in 893 and 2 704 nodes, before the first deadline
+    # check at node 4096; h=2 needs 17 268 and expires at that check
+    write_graph(path, random_hl(7, 1).graph)
     assert run("solve", "--graph", path, "--h", "all", "--budget", 0,
                "--out", out) == 3
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "h   value         formula   match",
-        "0   6             6         yes",
-        "1   10            10        yes"]
+        "0   7             7         yes",
+        "1   12            12        yes"]
     assert "incomplete: " in captured.err and "h=2" in captured.err
     assert not out.exists()  # --out is all or nothing
 

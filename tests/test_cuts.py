@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from hlcut import (IncompleteSearchError, UsageError, canonical_cut,
                    check_lemma_32, hypercube, is_h_edge_cut, lambda_sh_exact,
-                   mask_of, random_hl, write_graph)
+                   mask_of, random_hl, read_graph, realize, write_graph)
 from hlcut import cuts
 from hlcut.cli import main
 from hlcut.graph import Graph
 
 from conftest import (hl_members, random_simple_graph, reference_min_cut,
+                      reference_min_cuts,
                       reference_restricted_edge_connectivity, small_graphs,
                       to_nx)
 
@@ -224,25 +225,39 @@ def test_branch_and_bound_node_count_on_q5():
 
 
 def test_branch_and_bound_dimension_six_mid_level():
-    # the flow bound and forced moves prove the level-3 optimum in 6 694
-    # nodes; without forcing Q6 needs 60 153, and with the cut-so-far bound
-    # alone about 6.4M
+    # the split proves the level-3 optimum in 2 928 nodes; a search of the
+    # whole graph needs 6 694 with the flow bound and forced moves, 60 153
+    # without forcing, and about 6.4M with the cut-so-far bound alone
     q6 = lambda_sh_exact(hypercube(6).graph, 3)
     assert (q6.value, q6.witness_side) == (24, 0xAAAA)
-    assert q6.subsets_examined < 15_000
+    assert q6.subsets_examined < 4_000
     hl6 = lambda_sh_exact(random_hl(6, 1).graph, 3)
     assert (hl6.value, hl6.witness_side) == (24, 0xFF00)
 
 
 def test_branch_and_bound_dimension_seven_mid_level():
-    # 126 539 nodes and about 4 s with forced moves and residual masks;
-    # without forced moves the search was still running after 3.1M nodes
+    # 11 821 nodes and about 0.3 s by the split; a search of the whole graph
+    # takes 126 539 nodes and about 4 s with forced moves and residual
+    # masks, and without forced moves it was still running after 3.1M nodes
     # and 60 s
     g = hypercube(7).graph
     report = lambda_sh_exact(g, 4)
     assert report.value == 48 == (1 << 4) * (7 - 4)
     assert is_h_edge_cut(g, report.witness_cut, 4)
-    assert report.subsets_examined < 200_000
+    assert report.subsets_examined < 13_000
+
+
+def _plain(g: Graph, h: int):
+    """(value, witness side, nodes) of both branch-and-bound phases on the
+    whole graph, as `lambda_sh_exact` runs them on a graph that does not
+    split; for graphs whose every vertex has degree at least h."""
+    value, _, nodes = cuts._branch_and_bound(
+        g.adj, range(1, g.order), h, g.num_edges + 1, 1, None, 1, 0)
+    if value is None:
+        return None, None, nodes
+    _, side, extra = cuts._branch_and_bound(
+        g.adj, range(g.order - 1, 0, -1), h, value + 1, value, None, 1, nodes)
+    return value, side, nodes + extra
 
 
 # (value, witness side, nodes) at every level: the search's decisions, which
@@ -269,12 +284,149 @@ _DECISIONS = {
 def test_branch_and_bound_decisions_are_pinned(member):
     build, expected = _DECISIONS[member]
     g = build().graph
+    assert [_plain(g, h) for h in range(len(expected))] == expected
+
+
+# the same of `lambda_sh_exact`, which splits Q6 and HL6 into their halves
+# (7 224 and 7 132 nodes) and searches Q5 and HL5 whole
+_SPLIT_DECISIONS = {
+    "Q6": [(6, 0x2, 319), (10, 0xA, 766), (16, 0xAA, 2416),
+           (24, 0xAAAA, 2928), (32, 0xAAAAAAAA, 589),
+           (32, 0xAAAAAAAAAAAAAAAA, 206)],
+    "HL6": [(6, 0x2, 319), (10, 0xA, 766), (16, 0xCC, 2453),
+            (24, 0xFF00, 2749), (32, 0xFFFF0000, 636),
+            (32, 0xFFFFFFFF00000000, 209)],
+}
+
+
+@pytest.mark.parametrize("member", _DECISIONS)
+def test_lambda_decisions_are_pinned(member):
+    build, expected = _DECISIONS[member]
+    expected = _SPLIT_DECISIONS.get(member, expected)
+    g = build().graph
     found = []
     for h in range(len(expected)):
         report = lambda_sh_exact(g, h)
         found.append((report.value, report.witness_side,
                        report.subsets_examined))
     assert found == expected
+
+
+# -- the induction split ---------------------------------------------------------
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_member_files_split(tmp_path, n):
+    # `realize` labels every member as the join of its aligned halves, so a
+    # graph read back from disk splits without its trace
+    for hl in (hypercube(n), random_hl(n, 1), random_hl(n, n)):
+        path = tmp_path / f"{hl.label}.graph"
+        write_graph(path, hl.graph)
+        assert cuts._split(read_graph(path).adj) == 1 << (n - 1)
+
+
+def test_public_labels_of_fig1_do_not_split(monkeypatch, q4, fig1):
+    # below the base order nothing splits; with it lowered to 8, Q4 and the
+    # canonical labels of fig1's trace split, and its public numbering not
+    assert cuts._split(q4.graph.adj) == 0
+    monkeypatch.setattr(cuts, "_BASE_ORDER", 8)
+    assert cuts._split(q4.graph.adj) == 8
+    assert cuts._split(realize(fig1.trace).adj) == 8
+    assert cuts._split(fig1.graph.adj) == 0
+
+
+def _unsplit_joins() -> list[Graph]:
+    """Two connected graphs of order 64 whose aligned halves are no join:
+    Q6 with one more edge across, so vertex 0 has two neighbours in the
+    other half; and Q5 matched to two disjoint 4-cubes, a disconnected
+    half."""
+    extra = Graph(64, hypercube(6).graph.edges() + [(0, 33)])
+    q4 = hypercube(4).graph.edges()
+    disjoint = Graph(64, hypercube(5).graph.edges()
+                     + [(u + base, v + base) for base in (32, 48)
+                        for u, v in q4]
+                     + [(i, i + 32) for i in range(32)])
+    return [extra, disjoint]
+
+
+def test_graphs_that_do_not_split_keep_the_whole_search():
+    for g in _unsplit_joins():
+        assert g.is_connected() and cuts._split(g.adj) == 0
+        for h in range(3):
+            report = lambda_sh_exact(g, h)
+            assert (report.value, report.witness_side,
+                    report.subsets_examined) == _plain(g, h)
+
+
+def _connected(rng: random.Random, order: int) -> Graph:
+    while True:
+        g = random_simple_graph(rng, order, rng.choice([0.3, 0.5, 0.8]))
+        if g.is_connected():
+            return g
+
+
+@st.composite
+def _joins(draw) -> Graph:
+    """Two random connected graphs of equal order, joined by a random
+    perfect matching in the aligned labels that `realize` gives a member.
+    The order of each is a power of two, so every join splits once the
+    base order is lowered."""
+    k = draw(st.sampled_from([2, 4, 8]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    left, right = _connected(rng, k), _connected(rng, k)
+    sigma = draw(st.permutations(range(k)))
+    return Graph(2 * k, left.edges()
+                 + [(u + k, v + k) for u, v in right.edges()]
+                 + [(i, k + sigma[i]) for i in range(k)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_joins())
+def test_split_matches_reference_min_cut(g):
+    # the halves are irregular, so case A's bound can fall short of the
+    # value and the search of the whole graph runs too
+    expected = reference_min_cuts(g.order, g.edges())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cuts, "_BASE_ORDER", 2)
+        assert cuts._split(g.adj) == g.order // 2
+        for h in range(min(a.bit_count() for a in g.adj) + 2):
+            report = lambda_sh_exact(g, h)
+            assert (report.value, report.witness_side) == \
+                expected.get(h, (None, None))
+
+
+def test_fallback_searches_past_the_case_a_bound(monkeypatch):
+    # each half has a level-0 cut of 1 (vertices 1 and 4 have one
+    # neighbour in their half), so case A's bound is 2; case B has no cut
+    # below 3, and the value is 3, which a fallback limited to bound + 1
+    # would miss
+    monkeypatch.setattr(cuts, "_BASE_ORDER", 2)
+    g = Graph(8, [(0, 2), (0, 3), (0, 7), (1, 3), (1, 5), (2, 3), (2, 6),
+                  (3, 4), (4, 7), (5, 6), (5, 7), (6, 7)])
+    assert cuts._split(g.adj) == 4
+    report = lambda_sh_exact(g, 1)
+    assert (report.value, report.witness_side) == \
+        reference_min_cut(g.order, g.edges(), 1) == (3, mask_of([1, 5]))
+
+
+@pytest.mark.parametrize("build", [lambda: hypercube(7),
+                                   lambda: random_hl(7, 1)],
+                         ids=["Q7", "HL7"])
+def test_split_solves_every_level_of_dimension_seven(build):
+    # about 1 s per member; a search of the whole graph takes 8.7 s on Q7
+    g = build().graph
+    for h in range(7):
+        report = lambda_sh_exact(g, h)
+        assert report.value == (1 << h) * (7 - h)
+        assert is_h_edge_cut(g, report.witness_cut, h)
+    assert lambda_sh_exact(g, 7).value is None
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+def test_split_matches_the_whole_search_on_dimension_six(seed):
+    g = (hypercube(6) if seed is None else random_hl(6, seed)).graph
+    for h in range(7):
+        report = lambda_sh_exact(g, h)
+        assert (report.value, report.witness_side) == _plain(g, h)[:2]
 
 
 # -- forced moves ----------------------------------------------------------------
@@ -590,8 +742,8 @@ def test_zero_and_infinite_budgets_accepted(q3):
 
 
 def test_budget_exhaustion_raises_incomplete():
-    # the value phase of h=3 takes about 146k nodes and several seconds,
-    # far past the 0.02 s budget; the incumbent arrives at node 129, long
+    # the split takes 23 590 nodes and about 0.4 s at h=3, far past the
+    # 0.02 s budget; the seeded block is the incumbent from the start, long
     # before the first deadline check at node 4096
     hl7 = random_hl(7, 1)
     with pytest.raises(IncompleteSearchError) as err:
@@ -604,7 +756,7 @@ def test_budget_exhaustion_branch_and_bound_carries_witness():
     g = random_hl(7, 1).graph
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 3, budget=0.05)
-    # the first incumbent arrives before the first deadline check
+    # the seeded block is the incumbent before the first deadline check
     best_value, best_side = err.value.best_value, err.value.best_side
     assert best_value is not None
     assert len(g.edge_boundary(best_side)) == best_value
@@ -651,3 +803,60 @@ def test_interrupt_hands_back_the_incumbent(monkeypatch):
     assert err.value.budget is None
     assert err.value.best_value == len(g.edge_boundary(side)) == 12
     assert is_h_edge_cut(g, g.edge_boundary(side), 2)
+
+
+def test_deadline_counts_the_nodes_of_the_whole_call():
+    # with budget 0 the call expires at its node 4096, inside the first
+    # case-B search of HL7 h=2, which would reach its own node 4096 only
+    # after 1 400 nodes in the halves; the incumbent is the seeded block's
+    # complement
+    g = random_hl(7, 1).graph
+    with pytest.raises(IncompleteSearchError) as err:
+        lambda_sh_exact(g, 2, budget=0)
+    assert err.value.subsets_examined == cuts._TIME_CHECK_INTERVAL
+    assert (err.value.best_value, err.value.best_side) == \
+        (20, g.vertex_mask ^ 0xF)
+    assert is_h_edge_cut(g, g.edge_boundary(err.value.best_side), 2)
+
+
+def test_interrupt_in_a_half_hands_back_an_incumbent_of_the_graph(
+        monkeypatch):
+    # Ctrl-C at the first flow search in a quarter of Q7: the quarter's and
+    # the half's incumbents are no cuts of Q7, so the seeded block's
+    # complement comes back
+    augment = cuts._augment
+
+    def interrupted_in_a_half(adj, *args):
+        if len(adj) < 128:
+            raise KeyboardInterrupt
+        return augment(adj, *args)
+
+    monkeypatch.setattr(cuts, "_augment", interrupted_in_a_half)
+    g = hypercube(7).graph
+    with pytest.raises(IncompleteSearchError, match="interrupted") as err:
+        lambda_sh_exact(g, 3)
+    assert err.value.budget is None
+    assert (err.value.best_value, err.value.best_side) == \
+        (32, g.vertex_mask ^ 0xFF)
+    assert is_h_edge_cut(g, g.edge_boundary(err.value.best_side), 3)
+
+
+def test_a_case_b_side_holding_vertex_0_comes_back_as_its_complement(
+        monkeypatch):
+    # the first case-B search pins R and decides L, so its sides may hold
+    # vertex 0; here it expires holding a 3-cube through vertex 0
+    search = cuts._branch_and_bound
+    cube = mask_of([0, 1, 2, 3, 8, 9, 10, 11])
+
+    def expiry_in_case_b(adj, vorder, h, limit, floor, deadline, root, done):
+        if len(adj) == 128 and root >> 127:  # R pinned to Y
+            raise IncompleteSearchError(h, 32, cube, 5, 0.0)
+        return search(adj, vorder, h, limit, floor, deadline, root, done)
+
+    monkeypatch.setattr(cuts, "_branch_and_bound", expiry_in_case_b)
+    g = hypercube(7).graph
+    with pytest.raises(IncompleteSearchError) as err:
+        lambda_sh_exact(g, 3, budget=60.0)
+    assert (err.value.best_value, err.value.best_side) == \
+        (32, g.vertex_mask ^ cube)
+    assert err.value.budget == 60.0
