@@ -30,24 +30,34 @@ result and its witness are exact. The same checks settle the degree
 condition: a vertex is checked when assigned and again whenever a neighbour
 joins the other side, so a leaf needs only a nonempty X.
 
-The value phase follows the paper's induction on n wherever the graph is
-the join of its two aligned label halves L and R by a perfect matching, as
-every family member above order 32 is in the labels `realize` gives it. A
-cut whose sides both meet both halves (case A) cuts L and R into sides that
-keep minimum degree h-1 (0 at h=0), since each vertex loses only its
-matching partner; so it is at least the sum of the two halves' values at
-that level, computed the same way. Every other cut keeps a whole half on
-one side (case B), and two searches, each with one half pinned to Y, find
-case B's minimum below that bound. Where case B has a cut within the bound,
-its minimum is the value; where it has none, the whole graph is searched
-below case B's best, or below every edge when case B found nothing, since
-a case-B search capped at the bound says nothing about cuts above it. The
-witness phase always searches the whole graph, so the witness side is the
-same lexicographically smallest one either way.
+The value phase follows the paper's induction on n. In the labels
+`realize` gives it, a member is the join of its aligned label halves L and
+R by a perfect matching, and so is every aligned block below it, down to
+single vertices. Over these blocks a table bounds the value from below,
+from the member's own subgraphs alone and never from the paper's lemmas,
+which would make the check of its theorem circular: lam(T, h), the
+minimum cut of block T at level h, and g_k(T, h), the minimum of k|X| +
+|boundary of X in T| over nonempty X in T with minimum degree h. A cut
+whose sides both meet both halves cuts L and R into sides that keep
+minimum degree h' = max(h-1, 0), since each vertex loses only its matching
+partner. Any other cut has a side X inside one half, and each vertex of X
+also loses its matching edge, which g_1 of that half counts. So
+
+    lam(T, h) >= min(lam(L, h') + lam(R, h'), g_1(L, h), g_1(R, h)),
+    g_k(T, h) >= min(g_k(L, h') + g_k(R, h'), g_{k+1}(L, h), g_{k+1}(R, h)),
+
+with lam infinite, g_k(v, 0) = k and g_k(v, h > 0) infinite at a single
+vertex v. The aligned block {0..2^h-1} bounds the value from above. Where
+the two bounds meet, the value is proven without a search; where the table
+is infinite, there is no cut. Otherwise, and on graphs whose blocks do not
+split, one search of the whole graph runs and stops at the table's bound.
+The witness phase always searches the whole graph, so the witness side is
+the same lexicographically smallest one either way.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -57,15 +67,17 @@ from .graph import (Edge, Graph, canonical_edge, connected_within,
                     keeps_degree)
 
 _TIME_CHECK_INTERVAL = 4096
-# Graphs up to this order are searched whole; larger joins are split (see
-# `_value`)
-_BASE_ORDER = 32
+# the induction table's infinity, above every entry a graph of order up to
+# graph.MAX_ORDER can reach
+_INF = 1 << 62
 
 
 @dataclass(frozen=True)
 class CutReport:
     """A minimum cut and its witness; value, witness_cut and witness_side
-    are None when a complete search proves that no qualifying cut exists."""
+    are None when no qualifying cut exists. subsets_examined counts the
+    branch-and-bound nodes of both phases, of which the value phase adds
+    none where the induction table proves the value."""
     h: int
     value: int | None
     witness_cut: tuple[Edge, ...] | None
@@ -192,11 +204,11 @@ def _force(adj, x, y, cut, limit, h, check):
     return x, y, cut
 
 
-def _branch_and_bound(adj, vorder, h, limit, floor, deadline, root, done):
+def _branch_and_bound(adj, vorder, h, limit, floor, deadline, done):
     """Cheapest side X with cut < `limit`, deciding the vertices of `vorder`
-    in that order; the vertices of `root` (the anchor 0 alone, except in
-    case B) are pre-assigned to the complement Y. Returns (best_value,
-    best_side, examined), (None, None, examined) when no such side exists.
+    in that order; the anchor 0 is pre-assigned to the complement Y.
+    Returns (best_value, best_side, examined), (None, None, examined) when
+    no such side exists.
 
     Each vertex tries Y first, so among cuts of equal value the first found
     leaves the earlier vertices of `vorder` out of X. Bounds, against the
@@ -212,10 +224,10 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline, root, done):
     vertex ends below degree h, and skipping a vertex only fixes its side,
     so the search meets the feasible leaves in the same order as without
     forcing: the value and the witness side are exact. A leaf needs only a
-    nonempty X: the caller has checked the degree of every vertex of
-    `root`, `_force` checks every other vertex as it is assigned, and
-    re-checks each one that loses a neighbour to the other side, so every
-    side keeps degree h at a leaf.
+    nonempty X: the caller has checked the anchor's degree, `_force`
+    checks every other vertex as it is assigned, and re-checks each one
+    that loses a neighbour to the other side, so every side keeps degree h
+    at a leaf.
 
     Each node carries a unit flow as residual masks (see `_augment`) and
     its value, and augments only up to `limit`. Every newly assigned vertex
@@ -246,7 +258,7 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline, root, done):
     # the search for augmenting paths begins, with seen visited, and a zero
     # start marks a maximum flow whose residual graph reaches exactly seen
     # from X; Y is explored first
-    stack = [(0, 0, root, 0, list(adj), 0, 0, 0)]
+    stack = [(0, 0, 1, 0, list(adj), 0, 0, 0)]
     try:
         while stack:
             i, x, y, cut, res, value, start, seen = stack.pop()
@@ -296,53 +308,66 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline, root, done):
     return best, best_side, examined - done
 
 
-def _split(adj) -> int:
-    """Half the order when the graph is the join of its aligned halves
-    L = 0..m-1 and R = m..2m-1, else 0. It is a join when the order is a
-    power of two above _BASE_ORDER, every vertex has exactly one neighbour
-    in the other half, and both halves are connected. `realize` labels
-    every member this way, so a member's graph file splits without its
-    trace; smaller graphs and other labellings are searched whole."""
+def _merge(left, right):
+    """A block's induction table from its halves' tables. Row 0 holds lam
+    and row k >= 1 holds g_k, one entry per level; row k at level j is the
+    smallest of the halves' row k at level max(j-1, 0), summed, and of each
+    half's row k+1 at level j, so the block has one row fewer."""
+    return tuple(tuple([min(p + q, u, w, _INF) for p, q, u, w
+                        in zip(a[:1] + a[:-1], b[:1] + b[:-1], c, d)])
+                 for a, b, c, d in zip(left, right, left[1:], right[1:]))
+
+
+def _bound(adj, h):
+    """The induction table's lower bound on the level-h cut of `adj` (see
+    the module docstring): _INF when it rules out every cut, and None when
+    there is no table, because the order is no power of two or a vertex
+    has other than one neighbour in the other half of some aligned block.
+    `realize` labels every member so that it has a table, so a member's
+    graph file needs no trace."""
     order = len(adj)
-    if order <= _BASE_ORDER or order & (order - 1):
-        return 0
-    m = order >> 1
-    lo = (1 << m) - 1
-    hi = lo << m
-    for v, a in enumerate(adj):
-        if (a & (hi if v < m else lo)).bit_count() != 1:
-            return 0
-    if connected_within(adj, lo) and connected_within(adj, hi):
-        return m
-    return 0
+    n = order.bit_length() - 1
+    if order != 1 << n:
+        return None
+    # a single vertex's table: rows 0..n over levels 0..h; isomorphic
+    # blocks have equal tables, and each pair is merged once
+    tables = [((_INF,) * (h + 1),)
+              + tuple((k,) + (_INF,) * h for k in range(1, n + 1))] * order
+    merge = functools.cache(_merge)
+    half = 1
+    while half < order:
+        lo = (1 << half) - 1
+        if any((a >> ((v ^ half) & -half) & lo).bit_count() != 1
+               for v, a in enumerate(adj)):
+            return None
+        tables = [merge(left, right)
+                  for left, right in zip(tables[::2], tables[1::2])]
+        half <<= 1
+    return tables[0][0][h]
 
 
-def _value(adj, h, deadline, done):
+def _value(adj, h, deadline):
     """(value, side, examined): the minimum cut of the connected graph
-    `adj` at level h and a side attaining it, which may hold vertex 0;
-    (None, None, examined) when no cut exists. `done` nodes of the same
-    call came before it (see `_branch_and_bound`).
+    `adj` at level h and a side attaining it, without vertex 0; (None,
+    None, examined) when no cut exists.
 
-    A graph that does not `_split` is searched whole, with vertex 0 in Y.
-    One that does is solved by the induction of the module docstring: this
-    function on both halves at level max(h-1, 0) bounds case A, two
-    searches with one half pinned to Y cover case B, and the whole graph
-    is searched when case B has no cut within the bound. The aligned block
-    {0..2^h-1}, where both it and the rest keep degree h, seeds the
-    incumbent and case B's first limit. An expiry or an interrupt in a
-    half hands back this graph's incumbent, never the half's."""
+    `_bound` bounds the value from below, and the aligned block
+    {0..2^h-1}, where both it and the rest keep degree h, from above.
+    Where the two meet, or where the table rules out every cut, nothing is
+    searched. Otherwise one search of the whole graph runs below the
+    block's cut + 1, or below every edge + 1 without a block, and stops at
+    the table's bound, or at 1 without a table. An expiry or an interrupt
+    before the search's first leaf hands back the block's complement."""
     order = len(adj)
     full = (1 << order) - 1
     # a vertex of degree < h can never keep degree h on either side
     if order < 2 or not keeps_degree(adj, full, full, h):
         return None, None, 0
-    edges = sum(a.bit_count() for a in adj) // 2
-    m = _split(adj)
-    if not m:
-        # vertex 0 stays in Y; a connected graph has no cut below 1
-        return _branch_and_bound(adj, range(1, order), h, edges + 1, 1,
-                                 deadline, 1, done)
-    lo = (1 << m) - 1
+    floor = _bound(adj, h)
+    if floor is None:  # a connected graph has no cut below 1
+        floor = 1
+    elif floor == _INF:
+        return None, None, 0
     best = side = None
     k = 1 << h
     if k < order:
@@ -351,54 +376,23 @@ def _value(adj, h, deadline, done):
                 and keeps_degree(adj, full ^ block, full ^ block, h):
             best, side = sum((a >> k).bit_count() for a in adj[:k]), \
                 full ^ block
-    examined = 0
+    if best == floor:
+        return best, side, 0
+    limit = sum(a.bit_count() for a in adj) // 2 if best is None else best
     try:
-        bound = 0
-        for half in [a & lo for a in adj[:m]], [a >> m for a in adj[m:]]:
-            value, _, nodes = _value(half, max(h - 1, 0), deadline,
-                                     done + examined)
-            examined += nodes
-            if value is None:
-                bound = None
-                break
-            bound += value
+        return _branch_and_bound(adj, range(1, order), h, limit + 1, floor,
+                                 deadline, 0)
     except IncompleteSearchError as exc:
-        raise IncompleteSearchError(h, best, side,
-                                    examined + exc.subsets_examined,
+        if exc.best_value is not None or best is None:
+            raise
+        raise IncompleteSearchError(h, best, side, exc.subsets_examined,
                                     exc.budget) from None
-    limit = edges + 1 if bound is None else bound + 1
-    if best is not None:
-        limit = min(limit, best)
-    try:
-        # case B: R pinned to Y deciding L, then L pinned deciding R
-        for vorder, root in (range(m), full ^ lo), (range(m, order), lo):
-            found, x, nodes = _branch_and_bound(adj, vorder, h, limit, 1,
-                                                deadline, root,
-                                                done + examined)
-            examined += nodes
-            if found is not None:
-                best = limit = found
-                side = x
-        if bound is not None and (best is None or best > bound):
-            best, side, nodes = _branch_and_bound(
-                adj, range(1, order), h,
-                edges + 1 if best is None else best + 1, 1, deadline, 1,
-                done + examined)
-            examined += nodes
-    except IncompleteSearchError as exc:
-        if exc.best_value is not None:  # below every incumbent so far
-            best, side = exc.best_value, exc.best_side
-        raise IncompleteSearchError(h, best, side,
-                                    examined + exc.subsets_examined,
-                                    exc.budget) from None
-    return best, side, examined
 
 
 def lambda_sh_exact(g: Graph, h: int,
                     budget: float | None = None) -> CutReport:
     """Exact minimum size of an edge cut leaving both sides at minimum degree
-    >= h, with a witness side; value None after a complete search finds no
-    such cut.
+    >= h, with a witness side; value None when there is no such cut.
 
     The value phase (`_value`) computes the exact value first, and a
     branch-and-bound witness phase then reconstructs the lexicographically
@@ -415,21 +409,19 @@ def lambda_sh_exact(g: Graph, h: int,
     best = best_mask = None
     examined = 0
     try:
-        best, best_mask, examined = _value(g.adj, h, deadline, 0)
+        best, best_mask, examined = _value(g.adj, h, deadline)
         if best is not None:
             # witness phase: deciding the most significant vertex first, the
             # first side found at the minimum is the smallest mask
             _, best_mask, extra = _branch_and_bound(
                 g.adj, range(g.order - 1, 0, -1), h, best + 1, best,
-                deadline, 1, examined)
+                deadline, examined)
             examined += extra
             if best_mask is None:
                 raise AssertionError("no witness at the proven minimum value")
     except IncompleteSearchError as exc:
         if best is None:  # otherwise the value phase's side attains `best`
             best, best_mask = exc.best_value, exc.best_side
-        if best_mask is not None and best_mask & 1:  # a case-B side
-            best_mask ^= g.vertex_mask
         # an interrupt (budget None) stays one; an expiry names the budget
         raise IncompleteSearchError(
             h, best, best_mask, examined + exc.subsets_examined,

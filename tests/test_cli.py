@@ -17,7 +17,7 @@ from hlcut.cli import main
 from hlcut.graph import MAX_ORDER
 
 from conftest import (json_values, left_deep_trace_text, mutated,
-                      right_deep_trace_text)
+                      relabelled, right_deep_trace_text)
 
 
 def run(*argv):
@@ -174,9 +174,10 @@ def test_solve_oversized_header_is_a_usage_error(tmp_path, order):
 
 def test_solve_budget_exhaustion_exit_code(tmp_path):
     path = tmp_path / "hl7.graph"
-    # h=3 takes 23 590 nodes and about 0.4 s, far past the 0.02 s budget;
-    # the first deadline check comes at node 4096
-    write_graph(path, random_hl(7, 1).graph)
+    # random_hl(7, 1) with its labels shuffled has no induction table, so
+    # h=3 searches the whole graph, far past the 0.02 s budget; the first
+    # deadline check comes at node 4096
+    write_graph(path, relabelled(random_hl(7, 1).graph, 8))
     assert run("solve", "--graph", path, "--h", 3, "--budget", 0.02) == 3
 
 
@@ -295,10 +296,12 @@ def test_kappa_interrupt_exits_3(tmp_path, capsys, monkeypatch):
 def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
     path = tmp_path / "hl7.graph"
     out = tmp_path / "reports.jsonl"
-    # h=0 and h=1 finish in 893 and 2 704 nodes, before the first deadline
-    # check at node 4096; h=2 needs 17 268 and expires at that check
-    write_graph(path, random_hl(7, 1).graph)
-    assert run("solve", "--graph", path, "--h", "all", "--budget", 0,
+    # random_hl(7, 1) with its labels shuffled has no induction table: h=0
+    # and h=1 search the whole graph in 384 and 9 344 nodes, about 0.13 s,
+    # well within the 1 s budget of each level; h=2 needs more than 100 000
+    # nodes and expires at the first deadline check past 1 s
+    write_graph(path, relabelled(random_hl(7, 1).graph, 8))
+    assert run("solve", "--graph", path, "--h", "all", "--budget", 1,
                "--out", out) == 3
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [

@@ -18,8 +18,8 @@ from hlcut.graph import Graph
 
 from conftest import (hl_members, random_simple_graph, reference_min_cut,
                       reference_min_cuts,
-                      reference_restricted_edge_connectivity, small_graphs,
-                      to_nx)
+                      reference_restricted_edge_connectivity, relabelled,
+                      small_graphs, to_nx)
 
 
 # -- is_h_edge_cut -----------------------------------------------------------------
@@ -104,11 +104,14 @@ def test_small_hypercube_values(q3, q4):
 
 
 def test_square_has_no_2_cut(q2):
+    # the induction table rules every cut out without a search
     result = lambda_sh_exact(q2.graph, 2)
     assert result.value is None
-    # the root and its Y child: the X child leaves vertex 1 one neighbour
-    # off Y, and the Y child's forced moves put every vertex on Y
-    assert result.subsets_examined == 2
+    assert result.subsets_examined == 0
+    # a search takes the root and its Y child: the X child leaves vertex 1
+    # one neighbour off Y, and the Y child's forced moves put every vertex
+    # on Y
+    assert _plain(q2.graph, 2) == (None, None, 2)
 
 
 def test_fig1_values(fig1):
@@ -219,15 +222,15 @@ def test_branch_and_bound_node_count_on_q5():
     # degree propagation keeps every level of Q5 small: 1 614 nodes in all
     # with forced moves, 6 033 with pruning alone, and about 23M without it
     q5 = hypercube(5)
-    total = sum(lambda_sh_exact(q5.graph, h)
-                .subsets_examined for h in range(5))
+    total = sum(_plain(q5.graph, h)[2] for h in range(5))
     assert total < 3_000
 
 
 def test_branch_and_bound_dimension_six_mid_level():
-    # the split proves the level-3 optimum in 2 928 nodes; a search of the
-    # whole graph needs 6 694 with the flow bound and forced moves, 60 153
-    # without forcing, and about 6.4M with the cut-so-far bound alone
+    # the induction table proves the level-3 optimum, and the witness phase
+    # takes 74 nodes; a search of the whole graph needs 6 694 with the flow
+    # bound and forced moves, 60 153 without forcing, and about 6.4M with
+    # the cut-so-far bound alone
     q6 = lambda_sh_exact(hypercube(6).graph, 3)
     assert (q6.value, q6.witness_side) == (24, 0xAAAA)
     assert q6.subsets_examined < 4_000
@@ -236,10 +239,10 @@ def test_branch_and_bound_dimension_six_mid_level():
 
 
 def test_branch_and_bound_dimension_seven_mid_level():
-    # 11 821 nodes and about 0.3 s by the split; a search of the whole graph
-    # takes 126 539 nodes and about 4 s with forced moves and residual
-    # masks, and without forced moves it was still running after 3.1M nodes
-    # and 60 s
+    # 153 nodes, all in the witness phase, once the induction table proves
+    # the value; a search of the whole graph takes 126 539 nodes and about
+    # 4 s with forced moves and residual masks, and without forced moves it
+    # was still running after 3.1M nodes and 60 s
     g = hypercube(7).graph
     report = lambda_sh_exact(g, 4)
     assert report.value == 48 == (1 << 4) * (7 - 4)
@@ -249,14 +252,14 @@ def test_branch_and_bound_dimension_seven_mid_level():
 
 def _plain(g: Graph, h: int):
     """(value, witness side, nodes) of both branch-and-bound phases on the
-    whole graph, as `lambda_sh_exact` runs them on a graph that does not
-    split; for graphs whose every vertex has degree at least h."""
+    whole graph, with no induction table and no seeded block; for graphs
+    whose every vertex has degree at least h."""
     value, _, nodes = cuts._branch_and_bound(
-        g.adj, range(1, g.order), h, g.num_edges + 1, 1, None, 1, 0)
+        g.adj, range(1, g.order), h, g.num_edges + 1, 1, None, 0)
     if value is None:
         return None, None, nodes
     _, side, extra = cuts._branch_and_bound(
-        g.adj, range(g.order - 1, 0, -1), h, value + 1, value, None, 1, nodes)
+        g.adj, range(g.order - 1, 0, -1), h, value + 1, value, None, nodes)
     return value, side, nodes + extra
 
 
@@ -287,23 +290,24 @@ def test_branch_and_bound_decisions_are_pinned(member):
     assert [_plain(g, h) for h in range(len(expected))] == expected
 
 
-# the same of `lambda_sh_exact`, which splits Q6 and HL6 into their halves
-# (7 224 and 7 132 nodes) and searches Q5 and HL5 whole
-_SPLIT_DECISIONS = {
-    "Q6": [(6, 0x2, 319), (10, 0xA, 766), (16, 0xAA, 2416),
-           (24, 0xAAAA, 2928), (32, 0xAAAAAAAA, 589),
-           (32, 0xAAAAAAAAAAAAAAAA, 206)],
-    "HL6": [(6, 0x2, 319), (10, 0xA, 766), (16, 0xCC, 2453),
-            (24, 0xFF00, 2749), (32, 0xFFFF0000, 636),
-            (32, 0xFFFFFFFF00000000, 209)],
+# the same of `lambda_sh_exact`, whose induction table proves every value,
+# so that only the witness phase searches (1 249 nodes over the four)
+_TABLE_DECISIONS = {
+    "Q5": [(5, 0x2, 33), (8, 0xA, 34), (12, 0xAA, 36), (16, 0xAAAA, 41),
+           (16, 0xAAAAAAAA, 34)],
+    "HL5": [(5, 0x2, 33), (8, 0xA, 34), (12, 0x6A, 35), (16, 0xFF00, 48),
+            (16, 0xFFFF0000, 33)],
+    "Q6": [(6, 0x2, 65), (10, 0xA, 66), (16, 0xAA, 68), (24, 0xAAAA, 74),
+           (32, 0xAAAAAAAA, 85), (32, 0xAAAAAAAAAAAAAAAA, 66)],
+    "HL6": [(6, 0x2, 65), (10, 0xA, 66), (16, 0xCC, 69), (24, 0xFF00, 86),
+            (32, 0xFFFF0000, 101), (32, 0xFFFFFFFF00000000, 77)],
 }
 
 
 @pytest.mark.parametrize("member", _DECISIONS)
 def test_lambda_decisions_are_pinned(member):
-    build, expected = _DECISIONS[member]
-    expected = _SPLIT_DECISIONS.get(member, expected)
-    g = build().graph
+    expected = _TABLE_DECISIONS[member]
+    g = _DECISIONS[member][0]().graph
     found = []
     for h in range(len(expected)):
         report = lambda_sh_exact(g, h)
@@ -312,33 +316,35 @@ def test_lambda_decisions_are_pinned(member):
     assert found == expected
 
 
-# -- the induction split ---------------------------------------------------------
+# -- the induction table ---------------------------------------------------------
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_member_files_split(tmp_path, n):
-    # `realize` labels every member as the join of its aligned halves, so a
-    # graph read back from disk splits without its trace
+    # `realize` labels every member so that each aligned block is the join
+    # of its halves, so a graph read back from disk has the induction table
+    # without its trace
     for hl in (hypercube(n), random_hl(n, 1), random_hl(n, n)):
         path = tmp_path / f"{hl.label}.graph"
         write_graph(path, hl.graph)
-        assert cuts._split(read_graph(path).adj) == 1 << (n - 1)
+        adj = read_graph(path).adj
+        assert [cuts._bound(adj, h) for h in range(n + 1)] == \
+            [(1 << h) * (n - h) for h in range(n)] + [cuts._INF]
 
 
-def test_public_labels_of_fig1_do_not_split(monkeypatch, q4, fig1):
-    # below the base order nothing splits; with it lowered to 8, Q4 and the
-    # canonical labels of fig1's trace split, and its public numbering not
-    assert cuts._split(q4.graph.adj) == 0
-    monkeypatch.setattr(cuts, "_BASE_ORDER", 8)
-    assert cuts._split(q4.graph.adj) == 8
-    assert cuts._split(realize(fig1.trace).adj) == 8
-    assert cuts._split(fig1.graph.adj) == 0
+def test_public_labels_of_fig1_do_not_split(q4, fig1):
+    # every order has a table once its blocks split, down to single
+    # vertices: Q4 and the canonical labels of fig1's trace do, and fig1's
+    # public numbering does not
+    assert cuts._bound(q4.graph.adj, 2) == 8
+    assert cuts._bound(realize(fig1.trace).adj, 2) == 8
+    assert cuts._bound(fig1.graph.adj, 2) is None
 
 
 def _unsplit_joins() -> list[Graph]:
     """Two connected graphs of order 64 whose aligned halves are no join:
     Q6 with one more edge across, so vertex 0 has two neighbours in the
-    other half; and Q5 matched to two disjoint 4-cubes, a disconnected
-    half."""
+    other half; and Q5 matched to two disjoint 4-cubes, whose halves have
+    no neighbour in each other."""
     extra = Graph(64, hypercube(6).graph.edges() + [(0, 33)])
     q4 = hypercube(4).graph.edges()
     disjoint = Graph(64, hypercube(5).graph.edges()
@@ -350,11 +356,12 @@ def _unsplit_joins() -> list[Graph]:
 
 def test_graphs_that_do_not_split_keep_the_whole_search():
     for g in _unsplit_joins():
-        assert g.is_connected() and cuts._split(g.adj) == 0
+        assert g.is_connected()
         for h in range(3):
+            assert cuts._bound(g.adj, h) is None
             report = lambda_sh_exact(g, h)
-            assert (report.value, report.witness_side,
-                    report.subsets_examined) == _plain(g, h)
+            assert (report.value, report.witness_side) == _plain(g, h)[:2]
+            assert cuts._value(g.adj, h, None)[2] > 0
 
 
 def _connected(rng: random.Random, order: int) -> Graph:
@@ -368,8 +375,9 @@ def _connected(rng: random.Random, order: int) -> Graph:
 def _joins(draw) -> Graph:
     """Two random connected graphs of equal order, joined by a random
     perfect matching in the aligned labels that `realize` gives a member.
-    The order of each is a power of two, so every join splits once the
-    base order is lowered."""
+    The order of each is a power of two, so the join has the induction
+    table exactly when both are members in such labels, as every join of
+    order 4 is."""
     k = draw(st.sampled_from([2, 4, 8]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     left, right = _connected(rng, k), _connected(rng, k)
@@ -382,37 +390,66 @@ def _joins(draw) -> Graph:
 @settings(max_examples=30, deadline=None)
 @given(_joins())
 def test_split_matches_reference_min_cut(g):
-    # the halves are irregular, so case A's bound can fall short of the
-    # value and the search of the whole graph runs too
+    # most halves of order 4 and 8 are no members, so those joins are
+    # searched whole from floor 1, below the seeded block where there is one
     expected = reference_min_cuts(g.order, g.edges())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cuts, "_BASE_ORDER", 2)
-        assert cuts._split(g.adj) == g.order // 2
-        for h in range(min(a.bit_count() for a in g.adj) + 2):
-            report = lambda_sh_exact(g, h)
-            assert (report.value, report.witness_side) == \
-                expected.get(h, (None, None))
+    for h in range(min(a.bit_count() for a in g.adj) + 2):
+        report = lambda_sh_exact(g, h)
+        assert (report.value, report.witness_side) == \
+            expected.get(h, (None, None))
 
 
-def test_fallback_searches_past_the_case_a_bound(monkeypatch):
-    # each half has a level-0 cut of 1 (vertices 1 and 4 have one
-    # neighbour in their half), so case A's bound is 2; case B has no cut
-    # below 3, and the value is 3, which a fallback limited to bound + 1
-    # would miss
-    monkeypatch.setattr(cuts, "_BASE_ORDER", 2)
-    g = Graph(8, [(0, 2), (0, 3), (0, 7), (1, 3), (1, 5), (2, 3), (2, 6),
-                  (3, 4), (4, 7), (5, 6), (5, 7), (6, 7)])
-    assert cuts._split(g.adj) == 4
-    report = lambda_sh_exact(g, 1)
-    assert (report.value, report.witness_side) == \
-        reference_min_cut(g.order, g.edges(), 1) == (3, mask_of([1, 5]))
+@settings(max_examples=20, deadline=None)
+@given(hl_members(max_n=4).filter(lambda hl: hl.n >= 1))
+def test_table_is_a_lower_bound(hl):
+    # on random traces of depth 1-4, against the plain loop at every level:
+    # never above the value, and infinite only where no cut exists
+    g = hl.graph
+    expected = reference_min_cuts(g.order, g.edges())
+    for h in range(hl.n + 1):
+        bound = cuts._bound(g.adj, h)
+        value = expected[h][0]
+        if bound == cuts._INF:
+            assert value is None
+        else:
+            assert value is not None and bound <= value
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_table_is_tight_on_members(n):
+    # the bound meets the seeded block at every level, so the value phase
+    # never searches a member
+    for hl in [hypercube(n)] + [random_hl(n, s) for s in (1, 2, 3)]:
+        assert [cuts._bound(hl.graph.adj, h) for h in range(n + 1)] == \
+            [(1 << h) * (n - h) for h in range(n)] + [cuts._INF]
+
+
+@pytest.mark.parametrize("patch", ["one lower", "no table"])
+@pytest.mark.parametrize("build", [lambda: hypercube(6),
+                                   lambda: random_hl(6, 1)],
+                         ids=["Q6", "HL6"])
+def test_fallback_search_runs_where_the_table_falls_short(monkeypatch, build,
+                                                          patch):
+    # with the bound below the seeded block, or no bound, the whole graph
+    # is searched below the block's cut + 1 and finds the same value and
+    # witness side
+    g = build().graph
+    expected = [lambda_sh_exact(g, h) for h in range(7)]
+    bound = cuts._bound
+    monkeypatch.setattr(cuts, "_bound", lambda adj, h: bound(adj, h) - 1
+                        if patch == "one lower" else None)
+    for h, before in enumerate(expected):
+        assert cuts._value(g.adj, h, None)[2] > 0
+        report = lambda_sh_exact(g, h)
+        assert (report.value, report.witness_side) == \
+            (before.value, before.witness_side)
 
 
 @pytest.mark.parametrize("build", [lambda: hypercube(7),
                                    lambda: random_hl(7, 1)],
                          ids=["Q7", "HL7"])
 def test_split_solves_every_level_of_dimension_seven(build):
-    # about 1 s per member; a search of the whole graph takes 8.7 s on Q7
+    # about 0.02 s per member; a search of the whole graph takes 8.7 s on Q7
     g = build().graph
     for h in range(7):
         report = lambda_sh_exact(g, h)
@@ -741,22 +778,30 @@ def test_zero_and_infinite_budgets_accepted(q3):
         assert lambda_sh_exact(q3.graph, 1, budget=budget).value == 4
 
 
+def _hl7() -> Graph:
+    """random_hl(7, 1) with its labels shuffled: it has no induction table,
+    so its value phase searches the whole graph, for 9 344 nodes and about
+    0.13 s at h=1 and more than 100 000 nodes and 1 s at h=2 and h=3."""
+    return relabelled(random_hl(7, 1).graph, 8)
+
+
 def test_budget_exhaustion_raises_incomplete():
-    # the split takes 23 590 nodes and about 0.4 s at h=3, far past the
-    # 0.02 s budget; the seeded block is the incumbent from the start, long
-    # before the first deadline check at node 4096
-    hl7 = random_hl(7, 1)
+    # h=3 runs far past the 0.02 s budget, which expires at the first
+    # deadline check at node 4096 or at a later one
+    g = _hl7()
+    assert cuts._bound(g.adj, 3) is None
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(hl7.graph, 3, budget=0.02)
+        lambda_sh_exact(g, 3, budget=0.02)
     assert err.value.budget == 0.02
     assert err.value.subsets_examined > 0
 
 
 def test_budget_exhaustion_branch_and_bound_carries_witness():
-    g = random_hl(7, 1).graph
+    g = _hl7()
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 3, budget=0.05)
-    # the seeded block is the incumbent before the first deadline check
+    # the search's first leaf, at node 2 695, comes before the first
+    # deadline check
     best_value, best_side = err.value.best_value, err.value.best_side
     assert best_value is not None
     assert len(g.edge_boundary(best_side)) == best_value
@@ -774,7 +819,7 @@ def test_witness_phase_expiry_hands_back_the_value_phase_side(monkeypatch):
         return phases[0]
 
     monkeypatch.setattr(cuts, "_branch_and_bound", value_phase_then_expiry)
-    g = hypercube(4).graph
+    g = relabelled(hypercube(4).graph, 8)  # no table: the value phase searches
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 2, budget=60.0)
     value, side, nodes = phases[0]
@@ -785,7 +830,8 @@ def test_witness_phase_expiry_hands_back_the_value_phase_side(monkeypatch):
 
 
 def test_interrupt_hands_back_the_incumbent(monkeypatch):
-    # Ctrl-C in the middle of the value phase, after its first leaf
+    # Ctrl-C in the middle of the value phase, after its first leaf, on Q5
+    # without its table
     augment = cuts._augment
     calls = []
 
@@ -796,7 +842,7 @@ def test_interrupt_hands_back_the_incumbent(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(cuts, "_augment", interrupted_after_five)
-    g = hypercube(5).graph
+    g = relabelled(hypercube(5).graph, 8)
     with pytest.raises(IncompleteSearchError, match="interrupted") as err:
         lambda_sh_exact(g, 2)
     side = err.value.best_side
@@ -806,32 +852,32 @@ def test_interrupt_hands_back_the_incumbent(monkeypatch):
 
 
 def test_deadline_counts_the_nodes_of_the_whole_call():
-    # with budget 0 the call expires at its node 4096, inside the first
-    # case-B search of HL7 h=2, which would reach its own node 4096 only
-    # after 1 400 nodes in the halves; the incumbent is the seeded block's
-    # complement
-    g = random_hl(7, 1).graph
+    # with budget 0 the call expires at its node 4096: at h=6 the value
+    # phase ends after 1 603 nodes, and the witness phase, which would reach
+    # its own node 4096 much later, expires at its node 2 493 and hands back
+    # the value phase's side
+    g = _hl7()
+    value, side, nodes = cuts._value(g.adj, 6, None)
+    assert nodes < cuts._TIME_CHECK_INTERVAL
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(g, 2, budget=0)
+        lambda_sh_exact(g, 6, budget=0)
     assert err.value.subsets_examined == cuts._TIME_CHECK_INTERVAL
-    assert (err.value.best_value, err.value.best_side) == \
-        (20, g.vertex_mask ^ 0xF)
-    assert is_h_edge_cut(g, g.edge_boundary(err.value.best_side), 2)
+    assert (err.value.best_value, err.value.best_side) == (value, side)
+    assert value == 64
+    assert is_h_edge_cut(g, g.edge_boundary(side), 6)
 
 
-def test_interrupt_in_a_half_hands_back_an_incumbent_of_the_graph(
-        monkeypatch):
-    # Ctrl-C at the first flow search in a quarter of Q7: the quarter's and
-    # the half's incumbents are no cuts of Q7, so the seeded block's
-    # complement comes back
-    augment = cuts._augment
+def test_interrupt_in_the_fallback_hands_back_the_seeded_block(monkeypatch):
+    # Ctrl-C at the first forced-move closure of the value phase, which
+    # searches once the table's bound is one short of the seeded block: the
+    # search has no leaf yet, so the seeded block's complement comes back
+    bound = cuts._bound
+    monkeypatch.setattr(cuts, "_bound", lambda adj, h: bound(adj, h) - 1)
 
-    def interrupted_in_a_half(adj, *args):
-        if len(adj) < 128:
-            raise KeyboardInterrupt
-        return augment(adj, *args)
+    def interrupted(*args):
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(cuts, "_augment", interrupted_in_a_half)
+    monkeypatch.setattr(cuts, "_force", interrupted)
     g = hypercube(7).graph
     with pytest.raises(IncompleteSearchError, match="interrupted") as err:
         lambda_sh_exact(g, 3)
@@ -841,22 +887,22 @@ def test_interrupt_in_a_half_hands_back_an_incumbent_of_the_graph(
     assert is_h_edge_cut(g, g.edge_boundary(err.value.best_side), 3)
 
 
-def test_a_case_b_side_holding_vertex_0_comes_back_as_its_complement(
-        monkeypatch):
-    # the first case-B search pins R and decides L, so its sides may hold
-    # vertex 0; here it expires holding a 3-cube through vertex 0
-    search = cuts._branch_and_bound
-    cube = mask_of([0, 1, 2, 3, 8, 9, 10, 11])
+def test_a_proven_value_hands_back_the_seeded_block(monkeypatch):
+    # the table proves Q7's level-3 value with no search, so the one search
+    # of the call is the witness phase; when it expires, the seeded block's
+    # complement, without vertex 0, comes back with its nodes alone
+    calls = []
 
-    def expiry_in_case_b(adj, vorder, h, limit, floor, deadline, root, done):
-        if len(adj) == 128 and root >> 127:  # R pinned to Y
-            raise IncompleteSearchError(h, 32, cube, 5, 0.0)
-        return search(adj, vorder, h, limit, floor, deadline, root, done)
+    def expiry(adj, vorder, h, limit, floor, deadline, done):
+        calls.append(done)
+        raise IncompleteSearchError(h, None, None, 5, 0.0)
 
-    monkeypatch.setattr(cuts, "_branch_and_bound", expiry_in_case_b)
+    monkeypatch.setattr(cuts, "_branch_and_bound", expiry)
     g = hypercube(7).graph
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 3, budget=60.0)
+    assert calls == [0]
     assert (err.value.best_value, err.value.best_side) == \
-        (32, g.vertex_mask ^ cube)
+        (32, g.vertex_mask ^ 0xFF)
+    assert err.value.subsets_examined == 5
     assert err.value.budget == 60.0
