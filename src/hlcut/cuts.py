@@ -30,7 +30,7 @@ result and its witness are exact. The same checks settle the degree
 condition: a vertex is checked when assigned and again whenever a neighbour
 joins the other side, so a leaf needs only a nonempty X.
 
-The value phase follows the paper's induction on n. In the labels
+The search's lower bound follows the paper's induction on n. In the labels
 `realize` gives it, a member is the join of its aligned label halves L and
 R by a perfect matching, and so is every aligned block below it, down to
 single vertices. Over these blocks a table bounds the value from below,
@@ -48,11 +48,13 @@ also loses its matching edge, which g_1 of that half counts. So
 
 with lam infinite, g_k(v, 0) = k and g_k(v, h > 0) infinite at a single
 vertex v. The aligned block {0..2^h-1} bounds the value from above. Where
-the two bounds meet, the value is proven without a search; where the table
-is infinite, there is no cut. Otherwise, and on graphs whose blocks do not
-split, one search of the whole graph runs and stops at the table's bound.
-The witness phase always searches the whole graph, so the witness side is
-the same lexicographically smallest one either way.
+the table is infinite, there is no cut. Otherwise one search of the whole
+graph runs below the block's cut + 1, or below every edge + 1 without a
+block, and stops at the table's bound, or at 1 on a graph whose blocks do
+not split. It decides the highest vertex first, so the first side it finds
+at the minimum is the lexicographically smallest; where the two bounds
+meet, as on every member in the labels `realize` gives, that first side
+ends the search.
 """
 
 from __future__ import annotations
@@ -76,8 +78,7 @@ _INF = 1 << 62
 class CutReport:
     """A minimum cut and its witness; value, witness_cut and witness_side
     are None when no qualifying cut exists. subsets_examined counts the
-    branch-and-bound nodes of both phases, of which the value phase adds
-    none where the induction table proves the value."""
+    nodes of the one branch-and-bound search."""
     h: int
     value: int | None
     witness_cut: tuple[Edge, ...] | None
@@ -204,30 +205,30 @@ def _force(adj, x, y, cut, limit, h, check):
     return x, y, cut
 
 
-def _branch_and_bound(adj, vorder, h, limit, floor, deadline, done):
-    """Cheapest side X with cut < `limit`, deciding the vertices of `vorder`
-    in that order; the anchor 0 is pre-assigned to the complement Y.
-    Returns (best_value, best_side, examined), (None, None, examined) when
-    no such side exists.
+def _branch_and_bound(adj, h, limit, floor, deadline):
+    """Cheapest side X with cut < `limit`, deciding the highest free vertex
+    first; the anchor 0 is pre-assigned to the complement Y. Returns
+    (best_value, best_side, examined), (None, None, examined) when no such
+    side exists.
 
-    Each vertex tries Y first, so among cuts of equal value the first found
-    leaves the earlier vertices of `vorder` out of X. Bounds, against the
-    incumbent: the edges already cut by the partial assignment, and the
-    value of an X->Y flow. Every completion cuts an edge set separating the
-    assigned X from the assigned Y, so by max-flow/min-cut it cuts at least
-    as many edges as any X->Y flow carries; a node whose flow reaches
-    `limit` has no completion below it.
+    Each vertex tries Y first, so the search meets the leaves in ascending
+    order of X's mask, and among cuts of equal value the first found is the
+    smallest mask. Bounds, against the incumbent: the edges already cut by
+    the partial assignment, and the value of an X->Y flow. Every completion
+    cuts an edge set separating the assigned X from the assigned Y, so by
+    max-flow/min-cut it cuts at least as many edges as any X->Y flow
+    carries; a node whose flow reaches `limit` has no completion below it.
 
     Each child is closed under `_force`, seeded with the branched vertex and
-    its neighbours on the other side, and vertices of `vorder` already
-    assigned are skipped. A forced move drops only completions in which some
-    vertex ends below degree h, and skipping a vertex only fixes its side,
-    so the search meets the feasible leaves in the same order as without
-    forcing: the value and the witness side are exact. A leaf needs only a
-    nonempty X: the caller has checked the anchor's degree, `_force`
-    checks every other vertex as it is assigned, and re-checks each one
-    that loses a neighbour to the other side, so every side keeps degree h
-    at a leaf.
+    its neighbours on the other side, and a vertex it assigns is not
+    branched on. A forced move drops only completions in which some vertex
+    ends below degree h, and the vertices above the branched one are all
+    assigned, so the highest free vertex is the next in the order and the
+    search meets the feasible leaves in the same order as without forcing:
+    the value and the witness side are exact. A leaf needs only a nonempty
+    X: the caller has checked the anchor's degree, `_force` checks every
+    other vertex as it is assigned, and re-checks each one that loses a
+    neighbour to the other side, so every side keeps degree h at a leaf.
 
     Each node carries a unit flow as residual masks (see `_augment`) and
     its value, and augments only up to `limit`. Every newly assigned vertex
@@ -242,37 +243,33 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline, done):
     visited, if there are any; else the flow is still maximum and R stays.
 
     The search stops once an incumbent reaches `floor`, a value known to be
-    minimal. `done` nodes of the same call came before this search: the
-    deadline is read whenever the call's count reaches a multiple of
-    _TIME_CHECK_INTERVAL, however many searches the call makes. A budget
-    expiry or a KeyboardInterrupt raises IncompleteSearchError with the
-    incumbent, its side and this search's nodes; an interrupt carries
-    budget None."""
-    depth = len(vorder)
+    minimal. The deadline is read whenever the node count reaches a
+    multiple of _TIME_CHECK_INTERVAL. A budget expiry or a
+    KeyboardInterrupt raises IncompleteSearchError with the incumbent, its
+    side and the nodes; an interrupt carries budget None."""
+    full = (1 << len(adj)) - 1
     best = None
     best_side = None
-    examined = done
+    examined = 0
     monotonic = time.monotonic
-    # stack entries: (i, x, y, cut, residual masks, flow value, start,
-    # seen); the root's masks are adj, no flow; a nonzero start is where
-    # the search for augmenting paths begins, with seen visited, and a zero
+    # stack entries: (x, y, cut, residual masks, flow value, start, seen);
+    # the root's masks are adj, no flow; a nonzero start is where the
+    # search for augmenting paths begins, with seen visited, and a zero
     # start marks a maximum flow whose residual graph reaches exactly seen
     # from X; Y is explored first
-    stack = [(0, 0, 1, 0, list(adj), 0, 0, 0)]
+    stack = [(0, 1, 0, list(adj), 0, 0, 0)]
     try:
         while stack:
-            i, x, y, cut, res, value, start, seen = stack.pop()
+            x, y, cut, res, value, start, seen = stack.pop()
             examined += 1
             if deadline is not None \
                     and not examined & (_TIME_CHECK_INTERVAL - 1) \
                     and monotonic() > deadline:
-                raise IncompleteSearchError(h, best, best_side,
-                                            examined - done, 0.0)
+                raise IncompleteSearchError(h, best, best_side, examined, 0.0)
             if cut >= limit:
                 continue
-            while i < depth and (x | y) >> vorder[i] & 1:
-                i += 1
-            if i == depth:
+            free = full & ~(x | y)
+            if not free:
                 if x:
                     best = limit = cut
                     best_side = x
@@ -283,7 +280,7 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline, done):
                 value, seen = _augment(adj, res, y, value, limit, start, seen)
             if value >= limit:
                 continue
-            v = vorder[i]
+            v = free.bit_length() - 1
             bit = 1 << v
             a = adj[v]
             # the X child is pushed first and explored second
@@ -300,12 +297,12 @@ def _branch_and_bound(adj, vorder, h, limit, floor, deadline, done):
                     warm = (new_x & ~seen, seen | new_x)
                 else:
                     warm = (0, seen)
-                stack.append((i + 1, cx, cy, child_cut,
+                stack.append((cx, cy, child_cut,
                               res[:] if cx & bit else res, value, *warm))
     except KeyboardInterrupt:
-        raise IncompleteSearchError(h, best, best_side, examined - done,
+        raise IncompleteSearchError(h, best, best_side, examined,
                                     None) from None
-    return best, best_side, examined - done
+    return best, best_side, examined
 
 
 def _merge(left, right):
@@ -346,58 +343,18 @@ def _bound(adj, h):
     return tables[0][0][h]
 
 
-def _value(adj, h, deadline):
-    """(value, side, examined): the minimum cut of the connected graph
-    `adj` at level h and a side attaining it, without vertex 0; (None,
-    None, examined) when no cut exists.
-
-    `_bound` bounds the value from below, and the aligned block
-    {0..2^h-1}, where both it and the rest keep degree h, from above.
-    Where the two meet, or where the table rules out every cut, nothing is
-    searched. Otherwise one search of the whole graph runs below the
-    block's cut + 1, or below every edge + 1 without a block, and stops at
-    the table's bound, or at 1 without a table. An expiry or an interrupt
-    before the search's first leaf hands back the block's complement."""
-    order = len(adj)
-    full = (1 << order) - 1
-    # a vertex of degree < h can never keep degree h on either side
-    if order < 2 or not keeps_degree(adj, full, full, h):
-        return None, None, 0
-    floor = _bound(adj, h)
-    if floor is None:  # a connected graph has no cut below 1
-        floor = 1
-    elif floor == _INF:
-        return None, None, 0
-    best = side = None
-    k = 1 << h
-    if k < order:
-        block = (1 << k) - 1
-        if keeps_degree(adj, block, block, h) \
-                and keeps_degree(adj, full ^ block, full ^ block, h):
-            best, side = sum((a >> k).bit_count() for a in adj[:k]), \
-                full ^ block
-    if best == floor:
-        return best, side, 0
-    limit = sum(a.bit_count() for a in adj) // 2 if best is None else best
-    try:
-        return _branch_and_bound(adj, range(1, order), h, limit + 1, floor,
-                                 deadline, 0)
-    except IncompleteSearchError as exc:
-        if exc.best_value is not None or best is None:
-            raise
-        raise IncompleteSearchError(h, best, side, exc.subsets_examined,
-                                    exc.budget) from None
-
-
 def lambda_sh_exact(g: Graph, h: int,
                     budget: float | None = None) -> CutReport:
     """Exact minimum size of an edge cut leaving both sides at minimum degree
     >= h, with a witness side; value None when there is no such cut.
 
-    The value phase (`_value`) computes the exact value first, and a
-    branch-and-bound witness phase then reconstructs the lexicographically
-    smallest witness. A budget (seconds) turns an overlong search into
-    IncompleteSearchError carrying the best incumbent."""
+    The induction table (`_bound`) bounds the value from below and the
+    aligned block {0..2^h-1}, where both it and the rest keep degree h,
+    from above; one branch-and-bound search between the two finds the value
+    and the lexicographically smallest witness side (see the module
+    docstring). A budget (seconds) turns an overlong search into
+    IncompleteSearchError carrying the best incumbent, which is the block's
+    complement until the search's first leaf."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if budget is not None and not budget >= 0:  # also rejects NaN
@@ -406,29 +363,36 @@ def lambda_sh_exact(g: Graph, h: int,
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
     deadline = time.monotonic() + budget if budget is not None else None
-    best = best_mask = None
-    examined = 0
+    adj, order, full = g.adj, g.order, g.vertex_mask
+    # a vertex of degree < h can never keep degree h on either side
+    floor = _bound(adj, h) if order > 1 and keeps_degree(adj, full, full, h) \
+        else _INF
+    if floor == _INF:
+        return CutReport(h, None, None, None, 0)
+    if floor is None:  # a connected graph has no cut below 1
+        floor = 1
+    value = side = None
+    k = 1 << h
+    if k < order:
+        block = (1 << k) - 1
+        if keeps_degree(adj, block, block, h) \
+                and keeps_degree(adj, full ^ block, full ^ block, h):
+            value = sum((a >> k).bit_count() for a in adj[:k])
+            side = full ^ block
+    limit = g.num_edges if value is None else value
     try:
-        best, best_mask, examined = _value(g.adj, h, deadline)
-        if best is not None:
-            # witness phase: deciding the most significant vertex first, the
-            # first side found at the minimum is the smallest mask
-            _, best_mask, extra = _branch_and_bound(
-                g.adj, range(g.order - 1, 0, -1), h, best + 1, best,
-                deadline, examined)
-            examined += extra
-            if best_mask is None:
-                raise AssertionError("no witness at the proven minimum value")
+        value, side, examined = _branch_and_bound(adj, h, limit + 1, floor,
+                                                  deadline)
     except IncompleteSearchError as exc:
-        if best is None:  # otherwise the value phase's side attains `best`
-            best, best_mask = exc.best_value, exc.best_side
+        if exc.best_value is not None:  # else the block's complement stands
+            value, side = exc.best_value, exc.best_side
         # an interrupt (budget None) stays one; an expiry names the budget
         raise IncompleteSearchError(
-            h, best, best_mask, examined + exc.subsets_examined,
+            h, value, side, exc.subsets_examined,
             None if exc.budget is None else budget) from None
-    if best is None:
+    if value is None:
         return CutReport(h, None, None, None, examined)
-    witness_cut = g.edge_boundary(best_mask)
-    if len(witness_cut) != best:
+    witness_cut = g.edge_boundary(side)
+    if len(witness_cut) != value:
         raise AssertionError("witness boundary does not match the found value")
-    return CutReport(h, best, witness_cut, best_mask, examined)
+    return CutReport(h, value, witness_cut, side, examined)

@@ -208,7 +208,7 @@ def random_simple_graph(rng: random.Random, order: int, p: float = 0.45) -> Grap
 def relabelled(g: Graph, seed: int) -> Graph:
     """g with its labels shuffled by `seed`. For a family member the
     aligned label blocks are then, almost surely, no joins of their halves,
-    so it has no induction table and its value phase searches it whole."""
+    so it has no induction table and its search runs from floor 1."""
     labels = list(range(g.order))
     random.Random(seed).shuffle(labels)
     return Graph(g.order, [(labels[u], labels[v]) for u, v in g.edges()])

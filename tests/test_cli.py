@@ -187,7 +187,7 @@ def test_solve_interrupt_exits_3_with_the_incumbent(tmp_path, capsys,
     augment = cuts._augment
 
     def interrupt_at_level_two(adj, res, y, value, limit, *rest):
-        if limit == 12 + 1:  # the witness phase of level 2
+        if limit == 12 + 1:  # the search of level 2
             raise KeyboardInterrupt
         return augment(adj, res, y, value, limit, *rest)
 
@@ -297,9 +297,9 @@ def test_solve_expiry_keeps_the_rows_of_finished_levels(tmp_path, capsys):
     path = tmp_path / "hl7.graph"
     out = tmp_path / "reports.jsonl"
     # random_hl(7, 1) with its labels shuffled has no induction table: h=0
-    # and h=1 search the whole graph in 384 and 9 344 nodes, about 0.13 s,
-    # well within the 1 s budget of each level; h=2 needs more than 100 000
-    # nodes and expires at the first deadline check past 1 s
+    # and h=1 search the whole graph in 255 and 8 653 nodes, about 0.11 s,
+    # well within the 1 s budget of each level; h=2 needs 465 974 nodes and
+    # expires at the first deadline check past 1 s
     write_graph(path, relabelled(random_hl(7, 1).graph, 8))
     assert run("solve", "--graph", path, "--h", "all", "--budget", 1,
                "--out", out) == 3

@@ -108,9 +108,9 @@ def test_square_has_no_2_cut(q2):
     result = lambda_sh_exact(q2.graph, 2)
     assert result.value is None
     assert result.subsets_examined == 0
-    # a search takes the root and its Y child: the X child leaves vertex 1
-    # one neighbour off Y, and the Y child's forced moves put every vertex
-    # on Y
+    # a search takes the root and its Y child: vertex 3 pulls 1 and 2 into
+    # its X child, which leaves 1 one neighbour off Y, and the Y child's
+    # forced moves put every vertex on Y
     assert _plain(q2.graph, 2) == (None, None, 2)
 
 
@@ -219,18 +219,17 @@ def test_branch_and_bound_matches_reference_min_cut(g):
 
 
 def test_branch_and_bound_node_count_on_q5():
-    # degree propagation keeps every level of Q5 small: 1 614 nodes in all
-    # with forced moves, 6 033 with pruning alone, and about 23M without it
+    # degree propagation keeps every level of Q5 small: 1 688 nodes in all
+    # with forced moves
     q5 = hypercube(5)
     total = sum(_plain(q5.graph, h)[2] for h in range(5))
     assert total < 3_000
 
 
 def test_branch_and_bound_dimension_six_mid_level():
-    # the induction table proves the level-3 optimum, and the witness phase
-    # takes 74 nodes; a search of the whole graph needs 6 694 with the flow
-    # bound and forced moves, 60 153 without forcing, and about 6.4M with
-    # the cut-so-far bound alone
+    # the induction table proves the level-3 optimum, so the search stops
+    # at its first leaf, after 74 nodes; from floor 1 and no seeded block
+    # it needs 8 034 with the flow bound and forced moves
     q6 = lambda_sh_exact(hypercube(6).graph, 3)
     assert (q6.value, q6.witness_side) == (24, 0xAAAA)
     assert q6.subsets_examined < 4_000
@@ -239,10 +238,9 @@ def test_branch_and_bound_dimension_six_mid_level():
 
 
 def test_branch_and_bound_dimension_seven_mid_level():
-    # 153 nodes, all in the witness phase, once the induction table proves
-    # the value; a search of the whole graph takes 126 539 nodes and about
-    # 4 s with forced moves and residual masks, and without forced moves it
-    # was still running after 3.1M nodes and 60 s
+    # 153 nodes once the induction table proves the value; from floor 1
+    # and no seeded block the search takes 170 212 nodes and about 5 s with
+    # forced moves and residual masks
     g = hypercube(7).graph
     report = lambda_sh_exact(g, 4)
     assert report.value == 48 == (1 << 4) * (7 - 4)
@@ -251,35 +249,30 @@ def test_branch_and_bound_dimension_seven_mid_level():
 
 
 def _plain(g: Graph, h: int):
-    """(value, witness side, nodes) of both branch-and-bound phases on the
-    whole graph, with no induction table and no seeded block; for graphs
-    whose every vertex has degree at least h."""
-    value, _, nodes = cuts._branch_and_bound(
-        g.adj, range(1, g.order), h, g.num_edges + 1, 1, None, 0)
-    if value is None:
-        return None, None, nodes
-    _, side, extra = cuts._branch_and_bound(
-        g.adj, range(g.order - 1, 0, -1), h, value + 1, value, None, nodes)
-    return value, side, nodes + extra
+    """(value, witness side, nodes) of the branch-and-bound search on the
+    whole graph, with no induction table and no seeded block: below every
+    edge + 1, from floor 1; for graphs whose every vertex has degree at
+    least h."""
+    return cuts._branch_and_bound(g.adj, h, g.num_edges + 1, 1, None)
 
 
 # (value, witness side, nodes) at every level: the search's decisions, which
-# a cheaper node must leave alone; 31 204 nodes over the four members
+# a cheaper node must leave alone; 34 210 nodes over the four members
 _DECISIONS = {
     "Q5": (lambda: hypercube(5), [
-        (5, 0x2, 96), (8, 0xA, 316), (12, 0xAA, 901), (16, 0xAAAA, 230),
-        (16, 0xAAAAAAAA, 71)]),
+        (5, 0x2, 63), (8, 0xA, 337), (12, 0xAA, 945), (16, 0xAAAA, 295),
+        (16, 0xAAAAAAAA, 48)]),
     "HL5": (lambda: random_hl(5, 1), [
-        (5, 0x2, 96), (8, 0xA, 316), (12, 0x6A, 943), (16, 0xFF00, 240),
-        (16, 0xFFFF0000, 66)]),
+        (5, 0x2, 63), (8, 0xA, 323), (12, 0x6A, 1008), (16, 0xFF00, 263),
+        (16, 0xFFFF0000, 33)]),
     "Q6": (lambda: hypercube(6), [
-        (6, 0x2, 192), (10, 0xA, 1094), (16, 0xAA, 5845),
-        (24, 0xAAAA, 6694), (32, 0xAAAAAAAA, 670),
-        (32, 0xAAAAAAAAAAAAAAAA, 136)]),
+        (6, 0x2, 127), (10, 0xA, 1146), (16, 0xAA, 6072),
+        (24, 0xAAAA, 8034), (32, 0xAAAAAAAA, 991),
+        (32, 0xAAAAAAAAAAAAAAAA, 96)]),
     "HL6": (lambda: random_hl(6, 1), [
-        (6, 0x2, 192), (10, 0xA, 1094), (16, 0xCC, 5988),
-        (24, 0xFF00, 5264), (32, 0xFFFF0000, 618),
-        (32, 0xFFFFFFFF00000000, 142)]),
+        (6, 0x2, 127), (10, 0xA, 1135), (16, 0xCC, 6326),
+        (24, 0xFF00, 5984), (32, 0xFFFF0000, 717),
+        (32, 0xFFFFFFFF00000000, 77)]),
 }
 
 
@@ -291,7 +284,7 @@ def test_branch_and_bound_decisions_are_pinned(member):
 
 
 # the same of `lambda_sh_exact`, whose induction table proves every value,
-# so that only the witness phase searches (1 249 nodes over the four)
+# so that the search stops at its first leaf (1 249 nodes over the four)
 _TABLE_DECISIONS = {
     "Q5": [(5, 0x2, 33), (8, 0xA, 34), (12, 0xAA, 36), (16, 0xAAAA, 41),
            (16, 0xAAAAAAAA, 34)],
@@ -361,7 +354,7 @@ def test_graphs_that_do_not_split_keep_the_whole_search():
             assert cuts._bound(g.adj, h) is None
             report = lambda_sh_exact(g, h)
             assert (report.value, report.witness_side) == _plain(g, h)[:2]
-            assert cuts._value(g.adj, h, None)[2] > 0
+            assert report.subsets_examined > 0
 
 
 def _connected(rng: random.Random, order: int) -> Graph:
@@ -417,8 +410,8 @@ def test_table_is_a_lower_bound(hl):
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_table_is_tight_on_members(n):
-    # the bound meets the seeded block at every level, so the value phase
-    # never searches a member
+    # the bound meets the seeded block at every level, so the search of a
+    # member stops at its first leaf
     for hl in [hypercube(n)] + [random_hl(n, s) for s in (1, 2, 3)]:
         assert [cuts._bound(hl.graph.adj, h) for h in range(n + 1)] == \
             [(1 << h) * (n - h) for h in range(n)] + [cuts._INF]
@@ -430,17 +423,18 @@ def test_table_is_tight_on_members(n):
                          ids=["Q6", "HL6"])
 def test_fallback_search_runs_where_the_table_falls_short(monkeypatch, build,
                                                           patch):
-    # with the bound below the seeded block, or no bound, the whole graph
-    # is searched below the block's cut + 1 and finds the same value and
-    # witness side
+    # with the bound below the seeded block, or no bound, the search runs
+    # past its first leaf below the block's cut + 1 and finds the same
+    # value and witness side
     g = build().graph
     expected = [lambda_sh_exact(g, h) for h in range(7)]
     bound = cuts._bound
     monkeypatch.setattr(cuts, "_bound", lambda adj, h: bound(adj, h) - 1
                         if patch == "one lower" else None)
     for h, before in enumerate(expected):
-        assert cuts._value(g.adj, h, None)[2] > 0
         report = lambda_sh_exact(g, h)
+        assert report.subsets_examined > 0
+        assert report.subsets_examined >= before.subsets_examined
         assert (report.value, report.witness_side) == \
             (before.value, before.witness_side)
 
@@ -449,13 +443,29 @@ def test_fallback_search_runs_where_the_table_falls_short(monkeypatch, build,
                                    lambda: random_hl(7, 1)],
                          ids=["Q7", "HL7"])
 def test_split_solves_every_level_of_dimension_seven(build):
-    # about 0.02 s per member; a search of the whole graph takes 8.7 s on Q7
+    # about 0.02 s per member; the search from floor 1 with no seeded block
+    # takes about 12.6 s over every level of Q7
     g = build().graph
     for h in range(7):
         report = lambda_sh_exact(g, h)
         assert report.value == (1 << h) * (7 - h)
         assert is_h_edge_cut(g, report.witness_cut, h)
     assert lambda_sh_exact(g, 7).value is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_members_in_other_labels_meet_the_closed_form(seed):
+    # shuffled labels leave a member without the induction table, so the
+    # search runs from floor 1; it still finds 2^h(n-h) at every level
+    for hl in (hypercube(5), random_hl(5, seed)):
+        g = relabelled(hl.graph, seed)
+        for h in range(5):
+            assert cuts._bound(g.adj, h) is None
+            report = lambda_sh_exact(g, h)
+            assert report.value == (1 << h) * (5 - h)
+            assert is_h_edge_cut(g, report.witness_cut, h)
+            assert len(g.edge_boundary(report.witness_side)) == report.value
+        assert lambda_sh_exact(g, 5).value is None
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
@@ -780,8 +790,8 @@ def test_zero_and_infinite_budgets_accepted(q3):
 
 def _hl7() -> Graph:
     """random_hl(7, 1) with its labels shuffled: it has no induction table,
-    so its value phase searches the whole graph, for 9 344 nodes and about
-    0.13 s at h=1 and more than 100 000 nodes and 1 s at h=2 and h=3."""
+    so its search runs from floor 1, for 8 653 nodes and about 0.11 s at
+    h=1 and 465 974 nodes and about 3 s at h=2."""
     return relabelled(random_hl(7, 1).graph, 8)
 
 
@@ -808,29 +818,8 @@ def test_budget_exhaustion_branch_and_bound_carries_witness():
     assert is_h_edge_cut(g, g.edge_boundary(best_side), 3)
 
 
-def test_witness_phase_expiry_hands_back_the_value_phase_side(monkeypatch):
-    search = cuts._branch_and_bound
-    phases = []
-
-    def value_phase_then_expiry(*args):
-        if phases:
-            raise IncompleteSearchError(2, None, None, 7, 0.0)
-        phases.append(search(*args))
-        return phases[0]
-
-    monkeypatch.setattr(cuts, "_branch_and_bound", value_phase_then_expiry)
-    g = relabelled(hypercube(4).graph, 8)  # no table: the value phase searches
-    with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(g, 2, budget=60.0)
-    value, side, nodes = phases[0]
-    assert (err.value.best_value, err.value.best_side) == (value, side)
-    assert value == 8 and len(g.edge_boundary(side)) == 8
-    assert err.value.subsets_examined == nodes + 7  # both phases
-    assert err.value.budget == 60.0
-
-
 def test_interrupt_hands_back_the_incumbent(monkeypatch):
-    # Ctrl-C in the middle of the value phase, after its first leaf, on Q5
+    # Ctrl-C in the middle of the search, after its first leaf, on Q5
     # without its table
     augment = cuts._augment
     calls = []
@@ -852,25 +841,25 @@ def test_interrupt_hands_back_the_incumbent(monkeypatch):
 
 
 def test_deadline_counts_the_nodes_of_the_whole_call():
-    # with budget 0 the call expires at its node 4096: at h=6 the value
-    # phase ends after 1 603 nodes, and the witness phase, which would reach
-    # its own node 4096 much later, expires at its node 2 493 and hands back
-    # the value phase's side
+    # with budget 0 the search expires at its node 4096 and hands back its
+    # incumbent: at h=6 it needs 5 412 nodes, and its first leaf, at node
+    # 3 228, is already the minimum
     g = _hl7()
-    value, side, nodes = cuts._value(g.adj, 6, None)
-    assert nodes < cuts._TIME_CHECK_INTERVAL
+    complete = lambda_sh_exact(g, 6)
+    assert complete.subsets_examined > cuts._TIME_CHECK_INTERVAL
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 6, budget=0)
     assert err.value.subsets_examined == cuts._TIME_CHECK_INTERVAL
-    assert (err.value.best_value, err.value.best_side) == (value, side)
+    value, side = err.value.best_value, err.value.best_side
+    assert (value, side) == (complete.value, complete.witness_side)
     assert value == 64
     assert is_h_edge_cut(g, g.edge_boundary(side), 6)
 
 
 def test_interrupt_in_the_fallback_hands_back_the_seeded_block(monkeypatch):
-    # Ctrl-C at the first forced-move closure of the value phase, which
-    # searches once the table's bound is one short of the seeded block: the
-    # search has no leaf yet, so the seeded block's complement comes back
+    # Ctrl-C at the first forced-move closure of the search, with the
+    # table's bound one short of the seeded block: the search has no leaf
+    # yet, so the seeded block's complement comes back
     bound = cuts._bound
     monkeypatch.setattr(cuts, "_bound", lambda adj, h: bound(adj, h) - 1)
 
@@ -888,20 +877,21 @@ def test_interrupt_in_the_fallback_hands_back_the_seeded_block(monkeypatch):
 
 
 def test_a_proven_value_hands_back_the_seeded_block(monkeypatch):
-    # the table proves Q7's level-3 value with no search, so the one search
-    # of the call is the witness phase; when it expires, the seeded block's
-    # complement, without vertex 0, comes back with its nodes alone
+    # the table proves Q7's level-3 value, so the one search runs below the
+    # seeded block's cut + 1 and stops at that cut; when it expires before
+    # its first leaf, the seeded block's complement, without vertex 0, comes
+    # back with the search's nodes
     calls = []
 
-    def expiry(adj, vorder, h, limit, floor, deadline, done):
-        calls.append(done)
+    def expiry(adj, h, limit, floor, deadline):
+        calls.append((limit, floor))
         raise IncompleteSearchError(h, None, None, 5, 0.0)
 
     monkeypatch.setattr(cuts, "_branch_and_bound", expiry)
     g = hypercube(7).graph
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 3, budget=60.0)
-    assert calls == [0]
+    assert calls == [(33, 32)]
     assert (err.value.best_value, err.value.best_side) == \
         (32, g.vertex_mask ^ 0xFF)
     assert err.value.subsets_examined == 5

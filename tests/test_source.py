@@ -1,8 +1,9 @@
 """Source hygiene the stdlib can check: every name a package module imports
-is used in that module, and every public method of a package class and every
-public module-level function is used by package code, and every `open` names
-its encoding. `__init__.py` only re-exports, and `__future__` imports are
-directives, so both are exempt from the import check."""
+is used in that module, every public method of a package class and every
+public module-level function is used by package code, no private function
+has a parameter that every package call sets to the same literal, and every
+`open` names its encoding. `__init__.py` only re-exports, and `__future__`
+imports are directives, so both are exempt from the import check."""
 
 from __future__ import annotations
 
@@ -106,6 +107,52 @@ def test_every_public_function_is_called_by_the_package():
             break
         dead |= newly
     assert not dead, f"public functions no package code calls: {sorted(dead)}"
+
+
+def _arguments(fn: ast.FunctionDef, call: ast.Call) -> dict | None:
+    """Parameter name -> the expression a call binds to it, defaults
+    included; None when a starred argument hides the binding."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return None
+    spec = fn.args
+    positional = spec.posonlyargs + spec.args
+    bound = dict(zip([a.arg for a in positional[-len(spec.defaults):]],
+                     spec.defaults)) if spec.defaults else {}
+    bound.update((a.arg, d) for a, d in zip(spec.kwonlyargs, spec.kw_defaults)
+                 if d is not None)
+    bound.update(zip([a.arg for a in positional], call.args))
+    bound.update((k.arg, k.value) for k in call.keywords)
+    return bound
+
+
+def test_no_private_parameter_gets_one_literal_at_every_call():
+    # no option without a caller: a parameter of a private module-level
+    # function that every package call sets to the same literal is a
+    # constant in disguise, and belongs in the function body
+    trees = [ast.parse(p.read_text()) for p in MODULES]
+    private = {top.name: top for tree in trees for top in tree.body
+               if isinstance(top, ast.FunctionDef)
+               and top.name.startswith("_")}
+    calls: dict[str, list[ast.Call]] = {name: [] for name in private}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in calls:
+                    calls[name].append(node)
+    constant = []
+    for name, fn in private.items():
+        sites = [_arguments(fn, call) for call in calls[name]]
+        if not sites or None in sites:
+            continue
+        for param in sites[0]:
+            args = [site.get(param) for site in sites]
+            if all(isinstance(a, ast.Constant) for a in args) \
+                    and len({ast.unparse(a) for a in args}) == 1:
+                constant.append(f"{name}({param}={ast.unparse(args[0])})")
+    assert not constant, f"parameters with one literal everywhere: {constant}"
 
 
 def test_every_open_names_its_encoding():
