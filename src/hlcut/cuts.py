@@ -47,19 +47,22 @@ also loses its matching edge, which g_1 of that half counts. So
     g_k(T, h) >= min(g_k(L, h') + g_k(R, h'), g_{k+1}(L, h), g_{k+1}(R, h)),
 
 with lam infinite, g_k(v, 0) = k and g_k(v, h > 0) infinite at a single
-vertex v. The aligned block {0..2^h-1} bounds the value from above. Where
-the table is infinite, there is no cut. Otherwise one search of the whole
-graph runs below the block's cut + 1, or below every edge + 1 without a
-block, and stops at the table's bound, or at 1 on a graph whose blocks do
-not split. It decides the highest vertex first, so the first side it finds
-at the minimum is the lexicographically smallest; where the two bounds
-meet, as on every member in the labels `realize` gives, that first side
-ends the search.
+vertex v. The recurrence reads no matching and every vertex starts from
+the same rows, so all blocks of one depth share one table: n + 1 rows at
+a vertex, one merge and one row fewer per depth. The aligned block
+{0..2^h-1} bounds the value from above. Where the table is infinite,
+there is no cut. Otherwise one search of the whole graph runs below the
+block's cut + 1, or below every edge + 1 without a block, and stops at
+the table's bound, or at 1 on a graph whose blocks do not split. It
+decides the highest vertex first, so the first side it finds at the
+minimum is the lexicographically smallest; where the two bounds meet, as
+on every member in the labels `realize` gives, that first side ends the
+search. A budget starts at the search's root, after the table and the
+block.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -205,11 +208,12 @@ def _force(adj, x, y, cut, limit, h, check):
     return x, y, cut
 
 
-def _branch_and_bound(adj, h, limit, floor, deadline):
+def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     """Cheapest side X with cut < `limit`, deciding the highest free vertex
-    first; the anchor 0 is pre-assigned to the complement Y. Returns
-    (best_value, best_side, examined), (None, None, examined) when no such
-    side exists.
+    first; the anchor 0 is pre-assigned to the complement Y. `best_side`,
+    when given, is the caller's incumbent, a side with cut `limit` - 1.
+    Returns (best_value, best_side, examined), (None, None, examined) when
+    there is no incumbent and no side below `limit`.
 
     Each vertex tries Y first, so the search meets the leaves in ascending
     order of X's mask, and among cuts of equal value the first found is the
@@ -243,15 +247,16 @@ def _branch_and_bound(adj, h, limit, floor, deadline):
     visited, if there are any; else the flow is still maximum and R stays.
 
     The search stops once an incumbent reaches `floor`, a value known to be
-    minimal. The deadline is read whenever the node count reaches a
-    multiple of _TIME_CHECK_INTERVAL. A budget expiry or a
-    KeyboardInterrupt raises IncompleteSearchError with the incumbent, its
-    side and the nodes; an interrupt carries budget None."""
+    minimal. The `budget` (seconds, or None for none) starts here, at the
+    root, and the clock is read whenever the node count reaches a multiple
+    of _TIME_CHECK_INTERVAL. A budget expiry or a KeyboardInterrupt raises
+    IncompleteSearchError with the incumbent, its side, the nodes and the
+    budget; an interrupt carries budget None."""
     full = (1 << len(adj)) - 1
-    best = None
-    best_side = None
+    best = None if best_side is None else limit - 1
     examined = 0
     monotonic = time.monotonic
+    deadline = None if budget is None else monotonic() + budget
     # stack entries: (x, y, cut, residual masks, flow value, start, seen);
     # the root's masks are adj, no flow; a nonzero start is where the
     # search for augmenting paths begins, with seen visited, and a zero
@@ -265,7 +270,8 @@ def _branch_and_bound(adj, h, limit, floor, deadline):
             if deadline is not None \
                     and not examined & (_TIME_CHECK_INTERVAL - 1) \
                     and monotonic() > deadline:
-                raise IncompleteSearchError(h, best, best_side, examined, 0.0)
+                raise IncompleteSearchError(h, best, best_side, examined,
+                                            budget)
             if cut >= limit:
                 continue
             free = full & ~(x | y)
@@ -305,16 +311,6 @@ def _branch_and_bound(adj, h, limit, floor, deadline):
     return best, best_side, examined
 
 
-def _merge(left, right):
-    """A block's induction table from its halves' tables. Row 0 holds lam
-    and row k >= 1 holds g_k, one entry per level; row k at level j is the
-    smallest of the halves' row k at level max(j-1, 0), summed, and of each
-    half's row k+1 at level j, so the block has one row fewer."""
-    return tuple(tuple([min(p + q, u, w, _INF) for p, q, u, w
-                        in zip(a[:1] + a[:-1], b[:1] + b[:-1], c, d)])
-                 for a, b, c, d in zip(left, right, left[1:], right[1:]))
-
-
 def _bound(adj, h):
     """The induction table's lower bound on the level-h cut of `adj` (see
     the module docstring): _INF when it rules out every cut, and None when
@@ -326,21 +322,20 @@ def _bound(adj, h):
     n = order.bit_length() - 1
     if order != 1 << n:
         return None
-    # a single vertex's table: rows 0..n over levels 0..h; isomorphic
-    # blocks have equal tables, and each pair is merged once
-    tables = [((_INF,) * (h + 1),)
-              + tuple((k,) + (_INF,) * h for k in range(1, n + 1))] * order
-    merge = functools.cache(_merge)
+    # a single vertex's table, rows 0..n over levels 0..h; row 0 holds lam
+    # and row k >= 1 holds g_k
+    table = [[_INF] * (h + 1)] + [[k] + [_INF] * h for k in range(1, n + 1)]
     half = 1
     while half < order:
         lo = (1 << half) - 1
         if any((a >> ((v ^ half) & -half) & lo).bit_count() != 1
                for v, a in enumerate(adj)):
             return None
-        tables = [merge(left, right)
-                  for left, right in zip(tables[::2], tables[1::2])]
+        # both halves have this depth's table, so their sum is twice it
+        table = [[min(2 * p, u, _INF) for p, u in zip(row[:1] + row[:-1], up)]
+                 for row, up in zip(table, table[1:])]
         half <<= 1
-    return tables[0][0][h]
+    return table[0][h]
 
 
 def lambda_sh_exact(g: Graph, h: int,
@@ -352,9 +347,10 @@ def lambda_sh_exact(g: Graph, h: int,
     aligned block {0..2^h-1}, where both it and the rest keep degree h,
     from above; one branch-and-bound search between the two finds the value
     and the lexicographically smallest witness side (see the module
-    docstring). A budget (seconds) turns an overlong search into
-    IncompleteSearchError carrying the best incumbent, which is the block's
-    complement until the search's first leaf."""
+    docstring). A budget (seconds), counted from the search's root, turns
+    an overlong search into IncompleteSearchError carrying the best
+    incumbent, which is the block's complement until the search's first
+    leaf."""
     if h < 0:
         raise UsageError(f"negative level {h}")
     if budget is not None and not budget >= 0:  # also rejects NaN
@@ -362,7 +358,6 @@ def lambda_sh_exact(g: Graph, h: int,
                          f"got {budget}")
     if not g.is_connected():
         raise UsageError("minimum-cut search requires a connected graph")
-    deadline = time.monotonic() + budget if budget is not None else None
     adj, order, full = g.adj, g.order, g.vertex_mask
     # a vertex of degree < h can never keep degree h on either side
     floor = _bound(adj, h) if order > 1 and keeps_degree(adj, full, full, h) \
@@ -380,16 +375,8 @@ def lambda_sh_exact(g: Graph, h: int,
             value = sum((a >> k).bit_count() for a in adj[:k])
             side = full ^ block
     limit = g.num_edges if value is None else value
-    try:
-        value, side, examined = _branch_and_bound(adj, h, limit + 1, floor,
-                                                  deadline)
-    except IncompleteSearchError as exc:
-        if exc.best_value is not None:  # else the block's complement stands
-            value, side = exc.best_value, exc.best_side
-        # an interrupt (budget None) stays one; an expiry names the budget
-        raise IncompleteSearchError(
-            h, value, side, exc.subsets_examined,
-            None if exc.budget is None else budget) from None
+    value, side, examined = _branch_and_bound(adj, h, limit + 1, floor,
+                                              budget, side)
     if value is None:
         return CutReport(h, None, None, None, examined)
     witness_cut = g.edge_boundary(side)

@@ -13,6 +13,7 @@ from hlcut import (IncompleteSearchError, UsageError, canonical_cut,
                    check_lemma_32, hypercube, is_h_edge_cut, lambda_sh_exact,
                    mask_of, random_hl, read_graph, realize, write_graph)
 from hlcut import cuts
+from hlcut.build import MAX_DIMENSION
 from hlcut.cli import main
 from hlcut.graph import Graph
 
@@ -253,7 +254,7 @@ def _plain(g: Graph, h: int):
     whole graph, with no induction table and no seeded block: below every
     edge + 1, from floor 1; for graphs whose every vertex has degree at
     least h."""
-    return cuts._branch_and_bound(g.adj, h, g.num_edges + 1, 1, None)
+    return cuts._branch_and_bound(g.adj, h, g.num_edges + 1, 1, None, None)
 
 
 # (value, witness side, nodes) at every level: the search's decisions, which
@@ -408,11 +409,14 @@ def test_table_is_a_lower_bound(hl):
             assert value is not None and bound <= value
 
 
-@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("n", range(MAX_DIMENSION + 1))
 def test_table_is_tight_on_members(n):
     # the bound meets the seeded block at every level, so the search of a
-    # member stops at its first leaf
-    for hl in [hypercube(n)] + [random_hl(n, s) for s in (1, 2, 3)]:
+    # member stops at its first leaf; once the aligned pass succeeds the
+    # table depends on n and h alone, so Q_n stands for every member in
+    # these labels up to the construction cap
+    seeds = (1, 2, 3) if n <= 8 else ()
+    for hl in [hypercube(n)] + [random_hl(n, s) for s in seeds]:
         assert [cuts._bound(hl.graph.adj, h) for h in range(n + 1)] == \
             [(1 << h) * (n - h) for h in range(n)] + [cuts._INF]
 
@@ -451,6 +455,19 @@ def test_split_solves_every_level_of_dimension_seven(build):
         assert report.value == (1 << h) * (7 - h)
         assert is_h_edge_cut(g, report.witness_cut, h)
     assert lambda_sh_exact(g, 7).value is None
+
+
+@pytest.mark.parametrize("build", [hypercube, lambda n: random_hl(n, 1)],
+                         ids=["Q10", "HL10"])
+def test_every_level_at_the_construction_cap(build):
+    # about 0.6-0.9 s per member, at most 1 601 nodes per level
+    n = MAX_DIMENSION
+    g = build(n).graph
+    for h in range(n):
+        report = lambda_sh_exact(g, h)
+        assert report.value == (1 << h) * (n - h)
+        assert is_h_edge_cut(g, report.witness_cut, h)
+    assert lambda_sh_exact(g, n).value is None
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -878,21 +895,24 @@ def test_interrupt_in_the_fallback_hands_back_the_seeded_block(monkeypatch):
 
 def test_a_proven_value_hands_back_the_seeded_block(monkeypatch):
     # the table proves Q7's level-3 value, so the one search runs below the
-    # seeded block's cut + 1 and stops at that cut; when it expires before
-    # its first leaf, the seeded block's complement, without vertex 0, comes
-    # back with the search's nodes
+    # seeded block's cut + 1, from that block as its incumbent, and stops at
+    # that cut; when it expires at its first node, before its first leaf,
+    # the seeded block's complement, without vertex 0, comes back with the
+    # search's one node and the budget
+    search = cuts._branch_and_bound
     calls = []
 
-    def expiry(adj, h, limit, floor, deadline):
-        calls.append((limit, floor))
-        raise IncompleteSearchError(h, None, None, 5, 0.0)
+    def recorded(adj, h, limit, floor, budget, best_side):
+        calls.append((limit, floor, best_side))
+        return search(adj, h, limit, floor, budget, best_side)
 
-    monkeypatch.setattr(cuts, "_branch_and_bound", expiry)
+    monkeypatch.setattr(cuts, "_branch_and_bound", recorded)
+    monkeypatch.setattr(cuts, "_TIME_CHECK_INTERVAL", 1)
     g = hypercube(7).graph
     with pytest.raises(IncompleteSearchError) as err:
-        lambda_sh_exact(g, 3, budget=60.0)
-    assert calls == [(33, 32)]
+        lambda_sh_exact(g, 3, budget=0)
+    assert calls == [(33, 32, g.vertex_mask ^ 0xFF)]
     assert (err.value.best_value, err.value.best_side) == \
         (32, g.vertex_mask ^ 0xFF)
-    assert err.value.subsets_examined == 5
-    assert err.value.budget == 60.0
+    assert err.value.subsets_examined == 1
+    assert err.value.budget == 0

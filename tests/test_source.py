@@ -1,9 +1,10 @@
 """Source hygiene the stdlib can check: every name a package module imports
 is used in that module, every public method of a package class and every
 public module-level function is used by package code, no private function
-has a parameter that every package call sets to the same literal, and every
-`open` names its encoding. `__init__.py` only re-exports, and `__future__`
-imports are directives, so both are exempt from the import check."""
+has a parameter that every package call sets to the same literal, only
+`cli.main` catches IncompleteSearchError, and every `open` names its
+encoding. `__init__.py` only re-exports, and `__future__` imports are
+directives, so both are exempt from the import check."""
 
 from __future__ import annotations
 
@@ -153,6 +154,22 @@ def test_no_private_parameter_gets_one_literal_at_every_call():
                     and len({ast.unparse(a) for a in args}) == 1:
                 constant.append(f"{name}({param}={ast.unparse(args[0])})")
     assert not constant, f"parameters with one literal everywhere: {constant}"
+
+
+def test_only_the_cli_catches_an_incomplete_search():
+    # a stopped search raises its one final IncompleteSearchError itself,
+    # with its incumbent and budget; only `cli.main` catches it, to map it
+    # to exit 3
+    caught = []
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) == ("cli.py", "main"):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type \
+                        and "IncompleteSearchError" in ast.unparse(node.type):
+                    caught.append(f"{path.name}:{node.lineno}")
+    assert not caught, f"IncompleteSearchError caught at: {caught}"
 
 
 def test_every_open_names_its_encoding():
