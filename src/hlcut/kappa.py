@@ -15,6 +15,12 @@ ascending mask within a size), and `subsets_checked` is its rank there:
 sum_{j<k} C(order, j) + sum_i C(v_i, i) + 1 over the witness's vertices
 v_1 < ... < v_k, or sum_{j<=order-2} C(order, j), every removable set, when
 no cut exists.
+
+Once a cut is known, a branch is dropped when every cut below it is worse,
+by a counting bound. Let A be the part of C grown so far and m = |N[A]|,
+A with its neighbours. Each vertex of N[A] ends in C or in N(C), so
+|C| + |N(C)| >= m, and C is admissible only if 2|C| + |N(C)| <= order.
+Together |N(C)| >= 2m - order, and N(C) lies in the cut.
 """
 
 from __future__ import annotations
@@ -97,7 +103,11 @@ def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
         reach is a's neighbourhood. First a and reach are closed under forced
         moves, starting from the vertices of check: a vertex of a with fewer
         than h neighbours outside out fails the branch, and one with exactly
-        h pulls the undecided ones into a. Then the search branches on the
+        h pulls the undecided ones into a. The branch also stops once
+        2|a| > order - |boundary|, and, with a best cut known, once every
+        cut below is worse: each contains boundary and has at least
+        max(|boundary|, 2|a | reach| - order) vertices, since reach lies in
+        C | N(C) and 2|C| + |N(C)| <= order. Then the search branches on the
         lowest undecided neighbour of a, boundary first, so recursion depth
         is at most the order."""
         nonlocal best, best_size
@@ -120,11 +130,14 @@ def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
                     check |= p
         boundary = reach & out
         cut_so_far = boundary.bit_count()
-        # the cut contains boundary; at the best size it can only be
-        # boundary itself, which must then beat best's mask
-        if cut_so_far > best_size or 2 * a.bit_count() > order - cut_so_far \
-                or cut_so_far == best_size and boundary >= best:
+        if 2 * a.bit_count() > order - cut_so_far:
             return
+        if best is not None:
+            # every cut below contains boundary and has at least low
+            # vertices; at the best size its mask is at least boundary's
+            low = max(cut_so_far, 2 * (a | reach).bit_count() - order)
+            if low > best_size or low == best_size and boundary >= best:
+                return
         frontier = reach & free
         if not frontier:
             core = _core(adj, full & ~(a | reach), h)

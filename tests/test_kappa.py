@@ -184,6 +184,16 @@ def test_search_matches_reference_on_members(name):
     assert_matches_reference(member_graph(name))
 
 
+@pytest.mark.parametrize("order", [12, 14])
+@pytest.mark.parametrize("d", [3, 4])
+def test_search_matches_reference_on_random_regular_graphs(d, order):
+    # regular graphs have cuts at several levels with large components
+    # beside them, so the counting bound prunes below every first leaf
+    for seed in (1, 2, 3):
+        g = nx.random_regular_graph(d, order, seed)
+        assert_matches_reference(Graph(order, list(g.edges())))
+
+
 @pytest.mark.parametrize("name", ["q5", "hl5-1"])
 @pytest.mark.parametrize("h", [4, 5])
 def test_order_32_nonexistence_is_decided(name, h):
@@ -203,6 +213,31 @@ def test_q5_level3_is_two_disjoint_subcubes():
     assert report.subsets_checked == (
         sum(math.comb(32, j) for j in range(16))
         + sum(math.comb(7 + i, i) for i in range(1, 17)) + 1)
+
+
+def size_major_rank(order: int, witness: int) -> int:
+    """sum_{j<k} C(order, j) + sum_i C(v_i, i) + 1 over the witness's
+    vertices v_1 < ... < v_k."""
+    vertices = [v for v in range(order) if witness >> v & 1]
+    return (sum(math.comb(order, j) for j in range(len(vertices)))
+            + sum(math.comb(v, i) for i, v in enumerate(vertices, 1)) + 1)
+
+
+@pytest.mark.parametrize("name", ["q5", "hl5-1", "hl5-2"])
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_order_32_low_levels(name, h):
+    g = member_graph(name)
+    report = kappa_sh_exact(g, h)
+    assert report.exists
+    assert is_h_vertex_cut(g, report.witness, h)
+    assert report.value == report.witness.bit_count()
+    assert report.subsets_checked == size_major_rank(32, report.witness)
+    if name == "q5":
+        # kappa^h(Q_n) = 2^h (n - h) for h <= n - 2 (Latifi, Hegde and
+        # Naraghi-Pour, IEEE Trans. Computers 1994)
+        assert report.value == 2 ** h * (5 - h)
+    if h == 0:
+        assert report.value == nx.node_connectivity(to_nx(g))
 
 
 def test_order_32_level3_nonexistence_is_decided():
