@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import json
 
 from .errors import TraceError, UsageError
-from .graph import Graph, MAX_ORDER, mask_of, read_text
+from .graph import Graph, MAX_ORDER, mask_of, read_text, write_text
 
 MASK64 = (1 << 64) - 1
 
@@ -289,8 +289,7 @@ def trace_from_text(text: str) -> Trace:
 
 
 def write_trace(path, t: Trace) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(trace_to_text(t))
+    write_text(path, trace_to_text(t))
 
 
 def read_trace(path) -> Trace:

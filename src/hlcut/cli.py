@@ -51,24 +51,20 @@ def _infer_dimension(g: Graph) -> int | None:
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "hypercube":
-        if args.n is None:
-            raise UsageError("--kind hypercube requires --n")
-        if args.seed is not None:
-            raise UsageError("--seed only applies to --kind random")
-        hl = hypercube(args.n)
-    elif args.kind == "random":
-        if args.n is None:
-            raise UsageError("--kind random requires --n")
-        if args.seed is None:
-            raise UsageError("--kind random requires an explicit --seed")
-        hl = random_hl(args.n, args.seed)
-    else:
-        if args.seed is not None:
-            raise UsageError("--seed only applies to --kind random")
-        if args.n is not None and args.n != 4:
+    if args.seed is not None and args.kind != "random":
+        raise UsageError("--seed only applies to --kind random")
+    if args.kind == "fig1":
+        if args.n not in (None, 4):
             raise UsageError("the figure fixture is 4-dimensional; omit --n")
         hl = fig1_graph()
+    elif args.n is None:
+        raise UsageError(f"--kind {args.kind} requires --n")
+    elif args.kind == "hypercube":
+        hl = hypercube(args.n)
+    elif args.seed is None:
+        raise UsageError("--kind random requires an explicit --seed")
+    else:
+        hl = random_hl(args.n, args.seed)
     write_graph(args.out, hl.graph)
     if args.trace is not None:
         write_trace(args.trace, hl.trace)
@@ -117,16 +113,13 @@ _LEMMA_CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    if args.budget is not None and args.lemma != "thm":
-        raise UsageError("search budgets apply only to --lemma thm")
     trace = read_trace(args.trace)
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
-    budget = {"budget": args.budget} if args.lemma == "thm" else {}
     verdicts: list[LemmaVerdict] = []
     for h in levels:
-        v = checker(hl, h, **budget)
+        v = checker(hl, h)
         verdicts.append(v)
         status = "holds" if v.holds else "FAILS"
         extra = ""
@@ -192,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=sorted(_LEMMA_CHECKS))
     p.add_argument("--trace", required=True)
     p.add_argument("--h", required=True, help="level, or 'all'")
-    p.add_argument("--budget", type=float, help="--lemma thm only")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

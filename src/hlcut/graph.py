@@ -69,8 +69,6 @@ def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,
 def connected_within(adj: tuple[int, ...] | list[int], mask: int) -> bool:
     """True iff the vertices of `mask` form one component under `adj`
     restricted to `mask`. Zero or one vertex counts as connected."""
-    if mask == 0 or mask & (mask - 1) == 0:
-        return True
     start = mask & -mask
     comp = start
     frontier = start
@@ -210,8 +208,13 @@ def graph_from_text(text: str) -> Graph:
 
 
 def write_graph(path, g: Graph) -> None:
+    write_text(path, graph_to_text(g))
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` as ASCII with LF line ends, as every package file is."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(graph_to_text(g))
+        fh.write(text)
 
 
 def read_text(path) -> str:

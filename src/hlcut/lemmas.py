@@ -130,15 +130,14 @@ def check_lemma_37(hl: HlGraph, h: int) -> LemmaVerdict:
     return _scan(hl.graph, LEMMA_37, h, (1 << h) * (hl.n - h), hl.label)
 
 
-def check_theorem(hl: HlGraph, h: int,
-                  budget: float | None = None) -> LemmaVerdict:
+def check_theorem(hl: HlGraph, h: int) -> LemmaVerdict:
     """Exact solver value versus the closed form 2^h(n-h). subsets_checked
     is 2^(order-1) - 1, the anchored bipartitions that the complete search
     decides, not the nodes it visits, so the verdict does not depend on how
     the search prunes. tight_witnesses is not meaningful here (the solver
     reports one witness) and is fixed at 0."""
     _require_level(h, hl.n - 1, "equality check")
-    report = lambda_sh_exact(hl.graph, h, budget=budget)
+    report = lambda_sh_exact(hl.graph, h)
     holds = report.value == (1 << h) * (hl.n - h)
     counterexample = None if holds else report.witness_side
     return LemmaVerdict(THEOREM, hl.label, h, holds, counterexample,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import vertex_list
+from .graph import vertex_list, write_text
 from .kappa import KappaReport
 from .lemmas import LemmaVerdict
 
@@ -40,6 +40,4 @@ def dumps_report(obj) -> str:
 
 
 def write_reports(path, reports) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for r in reports:
-            fh.write(dumps_report(r))
+    write_text(path, "".join(map(dumps_report, reports)))

@@ -94,6 +94,13 @@ def test_hypercube_dimension_cap():
         hypercube(11)
 
 
+@pytest.mark.parametrize("build", [hypercube, lambda n: random_hl(n, 1)],
+                         ids=["hypercube", "random"])
+def test_negative_dimension_is_refused(build):
+    with pytest.raises(UsageError, match="dimension -1 is negative"):
+        build(-1)
+
+
 # -- random members ---------------------------------------------------------------
 
 def test_splitmix64_reference_vector():
@@ -159,6 +166,14 @@ def test_trace_error_names_the_path():
     with pytest.raises(TraceError) as err:
         realize(bad)
     assert err.value.path == "0"
+
+
+@pytest.mark.parametrize("trace, path", [
+    ("leaf", ""), (Node(LEAF, None, (0,)), "1")], ids=["root", "child"])
+def test_realize_rejects_an_object_that_is_not_a_trace(trace, path):
+    with pytest.raises(TraceError, match="not a trace node") as err:
+        realize(trace)
+    assert err.value.path == path
 
 
 def _balanced_trace(depth):

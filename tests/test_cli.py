@@ -14,7 +14,7 @@ from hlcut import (fig1_graph, graph_to_text, hypercube, is_h_edge_cut,
                    trace_to_text, write_graph)
 from hlcut import cli, cuts, kappa, lemmas
 from hlcut.cli import main
-from hlcut.graph import MAX_ORDER
+from hlcut.graph import MAX_ORDER, Graph
 
 from conftest import (json_values, left_deep_trace_text, mutated,
                       relabelled, right_deep_trace_text)
@@ -71,6 +71,39 @@ def test_generate_usage_errors(tmp_path):
     assert run("generate", "--kind", "hypercube", "--n", 99, "--out", out) == 2
 
 
+@pytest.mark.parametrize("kind, n, seed, error", [
+    ("hypercube", None, None, "--kind hypercube requires --n"),
+    ("hypercube", None, 1, "--seed only applies to --kind random"),
+    ("hypercube", 3, None, None),
+    ("hypercube", 3, 1, "--seed only applies to --kind random"),
+    ("hypercube", 4, None, None),
+    ("hypercube", 4, 1, "--seed only applies to --kind random"),
+    ("random", None, None, "--kind random requires --n"),
+    ("random", None, 1, "--kind random requires --n"),
+    ("random", 3, None, "requires an explicit --seed"),
+    ("random", 3, 1, None),
+    ("random", 4, None, "requires an explicit --seed"),
+    ("random", 4, 1, None),
+    ("fig1", None, None, None),
+    ("fig1", None, 1, "--seed only applies to --kind random"),
+    ("fig1", 3, None, "the figure fixture is 4-dimensional"),
+    ("fig1", 3, 1, "--seed only applies to --kind random"),
+    ("fig1", 4, None, None),
+    ("fig1", 4, 1, "--seed only applies to --kind random"),
+])
+def test_generate_flag_rules(tmp_path, capsys, kind, n, seed, error):
+    argv = ["generate", "--kind", kind, "--out", tmp_path / "x.graph"]
+    if n is not None:
+        argv += ["--n", n]
+    if seed is not None:
+        argv += ["--seed", seed]
+    if error is None:
+        assert run(*argv) == 0
+    else:
+        assert run(*argv) == 2
+        assert error in capsys.readouterr().err
+
+
 # -- solve -------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -116,10 +149,21 @@ def test_solve_mismatch_exits_nonzero(tmp_path):
              (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
              (0, 4), (1, 5)]
     path = tmp_path / "bond.graph"
-    from hlcut.graph import Graph
     write_graph(path, Graph(8, edges))
     assert run("solve", "--graph", path, "--h", 0, "--expect-theorem") == 1
     assert run("solve", "--graph", path, "--h", 0) == 0
+
+
+@pytest.mark.parametrize("graph, h, error", [
+    # a path on 4 = 2^2 vertices is not 2-regular, so it has no dimension
+    (Graph(4, [(0, 1), (1, 2), (2, 3)]), 0, "needs a 2^n-vertex n-regular"),
+    (hypercube(4).graph, 4, "needs h < 4")], ids=["non-member", "h=n"])
+def test_expect_theorem_refusals(tmp_path, capsys, graph, h, error):
+    path = tmp_path / "g.graph"
+    write_graph(path, graph)
+    assert run("solve", "--graph", path, "--h", h, "--expect-theorem") == 2
+    captured = capsys.readouterr()
+    assert error in captured.err and captured.out == ""
 
 
 def test_solve_reports_identical_across_methods_and_threads(q4_file, tmp_path):
@@ -157,7 +201,6 @@ def test_solve_usage_errors(tmp_path):
     bad.write_text("junk\n")
     assert run("solve", "--graph", bad, "--h", 1) == 2
     ring = tmp_path / "ring.graph"
-    from hlcut.graph import Graph
     write_graph(ring, Graph(6, [(i, (i + 1) % 6) for i in range(6)]))
     assert run("solve", "--graph", ring, "--h", "all") == 2  # not 2^n-regular
     q3 = tmp_path / "q3.graph"
@@ -378,33 +421,36 @@ def test_verify_equality_all_levels_fig1(tmp_path, capsys):
     assert out.count("holds") == 4
 
 
-@pytest.mark.parametrize("budget", ["nan", "-5"])
-def test_verify_theorem_rejects_a_bad_budget(q4_trace, capsys, budget):
-    assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
-               "--budget", budget) == 2
-    assert "budget" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
-@pytest.mark.parametrize("flag", [("--budget", "30"), ("--budget", "nan")])
-def test_verify_search_flags_apply_only_to_the_theorem(q4_trace, capsys,
-                                                       lemma, flag):
-    # a valid budget is refused as well as an invalid one
-    assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", 1,
-               *flag) == 2
+@pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7", "thm"])
+@pytest.mark.parametrize("flag", [
+    ("--budget", "30"), ("--budget", "nan"), ("--budget", "-5"),
+    ("--method", "branch-and-bound")],
+    ids=["budget=30", "budget=nan", "budget=-5", "method"])
+def test_verify_takes_no_search_flags(q4_trace, capsys, lemma, flag):
+    # a valid budget is refused as well as an invalid one: the lemma scans
+    # have no deadline, and every trace realizes in the labels where the
+    # theorem's search stops at its first leaf, before it reads one
+    with pytest.raises(SystemExit) as err:
+        run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", 1, *flag)
+    assert err.value.code == 2
     captured = capsys.readouterr()
-    assert "apply only to --lemma thm" in captured.err
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
     assert captured.out == ""
 
 
-def test_verify_theorem_takes_a_budget_and_no_method(q4_trace, capsys):
-    assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
-               "--budget", 30) == 0
-    assert capsys.readouterr().out.count("holds") == 4
-    with pytest.raises(SystemExit) as err:
-        run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", "all",
-            "--method", "branch-and-bound")
-    assert err.value.code == 2
+def test_verify_failing_verdict_exits_1_with_the_counterexample(
+        q4_trace, tmp_path, capsys, monkeypatch):
+    def failing(hl, h):
+        return lemmas.LemmaVerdict(lemmas.LEMMA_32, hl.label, h, False,
+                                   0b11, 7, 0)
+
+    monkeypatch.setitem(cli._LEMMA_CHECKS, "3.2", (failing, 0))
+    out = tmp_path / "verdicts.jsonl"
+    assert run("verify", "--lemma", "3.2", "--trace", q4_trace, "--h", 1,
+               "--out", out) == 1
+    assert "h=1: FAILS (subsets=7, tight=0) counterexample=[0, 1]" \
+        in capsys.readouterr().out
+    assert json.loads(out.read_text())["counterexample"] == [0, 1]
 
 
 def test_verify_lemma_gate_names_the_cap(tmp_path, capsys):
@@ -467,12 +513,16 @@ def test_negative_level_is_refused_before_any_output(q4_file, q4_trace,
     assert not out.exists()
 
 
-def test_parser_state_does_not_carry_between_calls(q4_trace, capsys):
+def test_parser_state_does_not_carry_between_calls(q4_trace, tmp_path,
+                                                   capsys):
     # one parser serves every call in a process; a flag given once must not
-    # reach a later call that omits it (3.2 refuses any --budget)
+    # reach a later call that omits it
+    out = tmp_path / "thm.jsonl"
     assert run("verify", "--lemma", "thm", "--trace", q4_trace, "--h", 1,
-               "--budget", 30) == 0
+               "--out", out) == 0
+    out.unlink()
     assert run("verify", "--lemma", "3.2", "--trace", q4_trace, "--h", 1) == 0
+    assert not out.exists()
     assert capsys.readouterr().out.count("holds") == 2
 
 

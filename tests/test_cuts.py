@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlcut import (IncompleteSearchError, UsageError, canonical_cut,
-                   check_lemma_32, hypercube, is_h_edge_cut, lambda_sh_exact,
-                   mask_of, random_hl, read_graph, realize, write_graph)
+                   check_lemma_32, hypercube, is_h_edge_cut, is_h_vertex_cut,
+                   lambda_sh_exact, mask_of, random_hl, read_graph, realize,
+                   write_graph)
 from hlcut import cuts
 from hlcut.build import MAX_DIMENSION
 from hlcut.cli import main
@@ -52,6 +53,14 @@ def test_cut_predicate_rejects_endpoints_outside_the_graph(q3, edge):
     # vertex -1 must not wrap to 7, whose neighbours include 3
     with pytest.raises(UsageError):
         is_h_edge_cut(q3.graph, [edge], 0)
+
+
+@pytest.mark.parametrize("predicate, removed",
+                         [(is_h_edge_cut, [(0, 1)]), (is_h_vertex_cut, 1)],
+                         ids=["edge", "vertex"])
+def test_cut_predicates_refuse_a_negative_level(q3, predicate, removed):
+    with pytest.raises(UsageError, match="negative level -1"):
+        predicate(q3.graph, removed, -1)
 
 
 def test_cut_predicate_counts_a_repeated_edge_once(q3):
@@ -460,12 +469,15 @@ def test_split_solves_every_level_of_dimension_seven(build):
 @pytest.mark.parametrize("build", [hypercube, lambda n: random_hl(n, 1)],
                          ids=["Q10", "HL10"])
 def test_every_level_at_the_construction_cap(build):
-    # about 0.6-0.9 s per member, at most 1 601 nodes per level
+    # about 0.6-0.9 s per member, at most 1 601 nodes per level: each search
+    # ends before its first deadline check, which is why `verify` takes no
+    # budget
     n = MAX_DIMENSION
     g = build(n).graph
     for h in range(n):
         report = lambda_sh_exact(g, h)
         assert report.value == (1 << h) * (n - h)
+        assert report.subsets_examined < cuts._TIME_CHECK_INTERVAL
         assert is_h_edge_cut(g, report.witness_cut, h)
     assert lambda_sh_exact(g, n).value is None
 

@@ -125,6 +125,12 @@ def test_header_order_checked_before_allocation(order):
         graph_from_text(f"{order} 0\n")
 
 
+@pytest.mark.parametrize("mask", [-1, 1 << 8, 0x1ff])
+def test_vertex_set_outside_the_graph_is_refused(q3, mask):
+    with pytest.raises(UsageError, match="outside the graph's vertex range"):
+        q3.graph.check_vertex_set(mask)
+
+
 def test_graph_is_immutable(q3):
     with pytest.raises(AttributeError):
         q3.graph.order = 5

@@ -254,3 +254,11 @@ def test_scan_is_gated():
 def test_negative_level_rejected(q3):
     with pytest.raises(UsageError):
         kappa_sh_exact(q3.graph, -1)
+
+
+def test_vertex_cut_predicate_checks_the_degree(q3):
+    # deleting the neighbours of 0 strands it: a cut at level 0, but 0 keeps
+    # no neighbour, so not one at level 1
+    s = mask_of((1, 2, 4))
+    assert is_h_vertex_cut(q3.graph, s, 0)
+    assert not is_h_vertex_cut(q3.graph, s, 1)

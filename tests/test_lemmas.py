@@ -279,12 +279,6 @@ def test_equality_level_out_of_range(q4):
         check_theorem(q4, 4)
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -5.0])
-def test_equality_rejects_a_bad_budget(q4, budget):
-    with pytest.raises(UsageError, match="budget"):
-        check_theorem(q4, 1, budget=budget)
-
-
 # -- cross-consistency ----------------------------------------------------------------
 
 def test_min_qualifying_boundary_equals_solver_value(q3, fig1):

@@ -2,8 +2,9 @@
 is used in that module, every public method of a package class and every
 public module-level function is used by package code, no private function
 has a parameter that every package call sets to the same literal, only
-`cli.main` catches IncompleteSearchError, and every `open` names its
-encoding. `__init__.py` only re-exports, and `__future__` imports are
+`cli.main` catches IncompleteSearchError, only `graph.read_text` and
+`graph.write_text` open files, and every `open` names its encoding.
+`__init__.py` only re-exports, and `__future__` imports are
 directives, so both are exempt from the import check."""
 
 from __future__ import annotations
@@ -183,3 +184,20 @@ def test_every_open_names_its_encoding():
                     and not any(k.arg == "encoding" for k in node.keywords):
                 bare.append(f"{path.name}:{node.lineno}")
     assert not bare, f"open() without encoding=: {bare}"
+
+
+def test_only_the_text_reader_and_writer_open_files():
+    # the ASCII and line-end policy of every file lives in one reader and
+    # one writer; the graph, trace and report files all go through them
+    opened = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) in (
+                    ("graph.py", "read_text"), ("graph.py", "write_text")):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "open" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    opened.append(f"{path.name}:{node.lineno}")
+    assert not opened, f"open() outside graph.read_text/write_text: {opened}"
