@@ -19,7 +19,10 @@ because every newly assigned vertex was free, with inflow equal to outflow.
 A child searches for augmenting paths again from X when a new Y vertex lies
 in the parent's residual reach, from the new X vertices outside that reach
 when there are some, and not at all otherwise; after a push the next search
-starts where the child's first one did.
+starts where the child's first one did. The list of masks is copied on
+write: both children share the parent's list, the Y child copies it before
+its first search, and the X child, explored last, writes into it in place,
+so a node that never searches never copies.
 
 Degree propagation forces moves: an assigned vertex with exactly h
 neighbours that are free or on its own side pulls its free neighbours to its
@@ -28,7 +31,9 @@ forced move drops only completions in which some vertex ends below degree
 h, so the search still meets the feasible cuts in the same order, and the
 result and its witness are exact. The same checks settle the degree
 condition: a vertex is checked when assigned and again whenever a neighbour
-joins the other side, so a leaf needs only a nonempty X.
+joins the other side, so a leaf needs only a nonempty X. The X child, which
+is explored second, is closed only once it is popped, so a search that stops
+early never closes the X children it does not reach.
 
 The search's lower bound follows the paper's induction on n. In the labels
 `realize` gives it, a member is the join of its aligned label halves L and
@@ -208,6 +213,18 @@ def _force(adj, x, y, cut, limit, h, check):
     return x, y, cut
 
 
+def _warm_start(x, y, seen, cx, cy):
+    """(start, seen) for `_augment` at the child (cx, cy) of the node
+    (x, y) whose residual reach is `seen`, by the rules in
+    `_branch_and_bound`'s docstring."""
+    new_x = cx & ~x
+    if cy & ~y & seen:
+        return cx, cx
+    if new_x & ~seen:
+        return new_x & ~seen, seen | new_x
+    return 0, seen
+
+
 def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     """Cheapest side X with cut < `limit`, deciding the highest free vertex
     first; the anchor 0 is pre-assigned to the complement Y. `best_side`,
@@ -223,28 +240,36 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     max-flow/min-cut it cuts at least as many edges as any X->Y flow
     carries; a node whose flow reaches `limit` has no completion below it.
 
-    Each child is closed under `_force`, seeded with the branched vertex and
-    its neighbours on the other side, and a vertex it assigns is not
-    branched on. A forced move drops only completions in which some vertex
-    ends below degree h, and the vertices above the branched one are all
-    assigned, so the highest free vertex is the next in the order and the
-    search meets the feasible leaves in the same order as without forcing:
-    the value and the witness side are exact. A leaf needs only a nonempty
-    X: the caller has checked the anchor's degree, `_force` checks every
-    other vertex as it is assigned, and re-checks each one that loses a
-    neighbour to the other side, so every side keeps degree h at a leaf.
+    Each child is closed under `_force`, seeded with the branched vertex
+    and its neighbours on the other side, and a vertex it assigns is not
+    branched on. The Y child is closed when it is pushed; the X child is
+    pushed unforced, with the parent's state and the limit in force then,
+    and closed at that limit when it is popped, so the same children are
+    dropped, counted and searched as when both are closed at once. A forced
+    move drops only completions in which some vertex ends below degree h,
+    and the vertices above the branched one are all assigned, so the
+    highest free vertex is the next in the order and the search meets the
+    feasible leaves in the same order as without forcing: the value and the
+    witness side are exact. A leaf needs only a nonempty X: the caller has
+    checked the anchor's degree, `_force` checks every other vertex as it
+    is assigned, and re-checks each one that loses a neighbour to the other
+    side, so every side keeps degree h at a leaf.
 
-    Each node carries a unit flow as residual masks (see `_augment`) and
-    its value, and augments only up to `limit`. Every newly assigned vertex
-    was free, with inflow equal to outflow, so the parent's flow stays
-    feasible with the same value: the Y child (explored first) reuses the
-    parent's list and the X child a copy. A maximum flow also leaves the
-    set R its residual graph reaches from X, which holds no Y vertex and
-    has no residual arc leaving it; every maximum flow has the same value
-    and the same R, so no decision depends on which paths `_augment`
-    pushes. A child's search starts again from X if a new Y vertex lies in
-    R; else from the new X vertices outside R, with R and the new X
-    visited, if there are any; else the flow is still maximum and R stays.
+    Each node carries a unit flow as residual masks (see `_augment`) and its
+    value, and augments only up to `limit`. Every newly assigned vertex was
+    free, with inflow equal to outflow, so the parent's flow stays feasible
+    with the same value, and both children start from the parent's list. The
+    Y child (explored first) shares it with its pending X sibling, so it
+    copies the list just before its first `_augment`; the X child, popped
+    after the Y child's whole subtree, is the list's last reader and may
+    write into it wherever the parent could. The root's list is `adj`
+    itself. A maximum flow also leaves the set R its residual graph reaches
+    from X, which holds no Y vertex and has no residual arc leaving it;
+    every maximum flow has the same value and the same R, so no decision
+    depends on which paths `_augment` pushes. A child's search starts again
+    from X if a new Y vertex lies in R; else from the new X vertices outside
+    R, with R and the new X visited, if there are any; else the flow is
+    still maximum and R stays.
 
     The search stops once an incumbent reaches `floor`, a value known to be
     minimal. The `budget` (seconds, or None for none) starts here, at the
@@ -257,15 +282,28 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     examined = 0
     monotonic = time.monotonic
     deadline = None if budget is None else monotonic() + budget
-    # stack entries: (x, y, cut, residual masks, flow value, start, seen);
-    # the root's masks are adj, no flow; a nonzero start is where the
-    # search for augmenting paths begins, with seen visited, and a zero
-    # start marks a maximum flow whose residual graph reaches exactly seen
-    # from X; Y is explored first
-    stack = [(0, 1, 0, list(adj), 0, 0, 0)]
+    # stack entries: (x, y, cut, residual masks, flow value, start, seen,
+    # owned, bit, pushed limit); a nonzero start is where the search for
+    # augmenting paths begins, with seen visited, and a zero start marks a
+    # maximum flow whose residual graph reaches exactly seen from X; owned
+    # says that no other entry reads the masks, so they may be written in
+    # place; a nonzero bit marks the unforced X child of the node (x, y),
+    # whose flow and reach the entry holds. The root's masks are the
+    # graph's own adj tuple, no flow, so a missed copy fails as a write
+    # into a tuple
+    stack = [(0, 1, 0, adj, 0, 0, 0, False, 0, 0)]
     try:
         while stack:
-            x, y, cut, res, value, start, seen = stack.pop()
+            x, y, cut, res, value, start, seen, owned, bit, lim = stack.pop()
+            if bit:  # close the X child at the limit it was pushed under
+                across = adj[bit.bit_length() - 1] & y
+                child = _force(adj, x | bit, y, cut + across.bit_count(),
+                               lim, h, bit | across)
+                if child is None:
+                    continue
+                cx, cy, cut = child
+                start, seen = _warm_start(x, y, seen, cx, cy)
+                x, y = cx, cy
             examined += 1
             if deadline is not None \
                     and not examined & (_TIME_CHECK_INTERVAL - 1) \
@@ -283,28 +321,22 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
                         break
                 continue
             if start:
+                if not owned:
+                    res = list(res)
+                    owned = True
                 value, seen = _augment(adj, res, y, value, limit, start, seen)
             if value >= limit:
                 continue
             v = free.bit_length() - 1
             bit = 1 << v
-            a = adj[v]
-            # the X child is pushed first and explored second
-            for cx, cy, across in ((x | bit, y, a & y), (x, y | bit, a & x)):
-                child = _force(adj, cx, cy, cut + across.bit_count(), limit,
-                               h, bit | across)
-                if child is None:
-                    continue
+            stack.append((x, y, cut, res, value, 0, seen, owned, bit, limit))
+            across = adj[v] & x
+            child = _force(adj, x, y | bit, cut + across.bit_count(), limit,
+                           h, bit | across)
+            if child is not None:
                 cx, cy, child_cut = child
-                new_x = cx & ~x
-                if cy & ~y & seen:
-                    warm = (cx, cx)
-                elif new_x & ~seen:
-                    warm = (new_x & ~seen, seen | new_x)
-                else:
-                    warm = (0, seen)
-                stack.append((cx, cy, child_cut,
-                              res[:] if cx & bit else res, value, *warm))
+                stack.append((cx, cy, child_cut, res, value,
+                              *_warm_start(x, y, seen, cx, cy), False, 0, 0))
     except KeyboardInterrupt:
         raise IncompleteSearchError(h, best, best_side, examined,
                                     None) from None
@@ -356,16 +388,18 @@ def lambda_sh_exact(g: Graph, h: int,
     if budget is not None and not budget >= 0:  # also rejects NaN
         raise UsageError(f"budget must be a nonnegative number of seconds, "
                          f"got {budget}")
-    if not g.is_connected():
-        raise UsageError("minimum-cut search requires a connected graph")
     adj, order, full = g.adj, g.order, g.vertex_mask
-    # a vertex of degree < h can never keep degree h on either side
-    floor = _bound(adj, h) if order > 1 and keeps_degree(adj, full, full, h) \
-        else _INF
+    # a table implies a connected, n-regular graph, where h > n leaves the
+    # table infinite; the empty graph has none
+    floor = _bound(adj, h) if order else None
+    if floor is None:
+        if not g.is_connected():
+            raise UsageError("minimum-cut search requires a connected graph")
+        # a vertex of degree < h can never keep degree h on either side,
+        # and a connected graph has no cut below 1
+        floor = 1 if order > 1 and keeps_degree(adj, full, full, h) else _INF
     if floor == _INF:
         return CutReport(h, None, None, None, 0)
-    if floor is None:  # a connected graph has no cut below 1
-        floor = 1
     value = side = None
     k = 1 << h
     if k < order:

@@ -101,8 +101,9 @@ class Graph:
                 f"order {order} outside supported range 0..{MAX_ORDER}")
         adj = [0] * order
         for u, v in edges:
-            u, v = canonical_edge(u, v)
-            if not (0 <= u < order and 0 <= v < order):
+            if u >= v:
+                u, v = canonical_edge(u, v)
+            if u < 0 or v >= order:
                 raise UsageError(f"edge ({u},{v}) outside 0..{order - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -184,24 +185,20 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse the text format. Each line must hold two integers, and `Graph`
-    checks the order cap, loops and endpoint ranges. The one form check is
-    the round trip: the text must equal `graph_to_text` of the graph it
-    describes, which settles the final newline, the edge count, the
-    (min, max) form, the ascending order and the spelling of every number."""
-    head, *lines = text.split("\n")
+    """Parse the text format. The reader tokenizes: every token must be an
+    integer, the first two are the order and the edge count, and the rest
+    pair up into edges, which `Graph` checks for the order cap, loops and
+    endpoint ranges. The one form check is the round trip: the text must
+    equal `graph_to_text` of the graph it describes, which settles the line
+    breaks and spacing, the final newline, the edge count, the (min, max)
+    form, the ascending order and the spelling of every number."""
     try:
-        order, _ = map(int, head.split(" "))
+        order, _, *ends = map(int, text.split())
     except ValueError:
-        raise UsageError(f"bad header {head!r}") from None
-    edges = []
-    for ln in lines[:-1]:  # the last piece follows the final newline
-        try:
-            u, v = map(int, ln.split(" "))
-        except ValueError:
-            raise UsageError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
-    g = Graph(order, edges)
+        raise UsageError("graph text is not a header and edge lines of "
+                         "integers") from None
+    pairs = iter(ends)
+    g = Graph(order, zip(pairs, pairs))
     if graph_to_text(g) != text:
         raise UsageError("graph text is not in canonical form")
     return g

@@ -482,19 +482,45 @@ def test_every_level_at_the_construction_cap(build):
     assert lambda_sh_exact(g, n).value is None
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+# (value, witness side, nodes) at every level of Q5 and random_hl(5, seed),
+# both relabelled by the seed: the search without a table, from floor 1,
+# which stops at no first leaf
+_RELABELLED_DECISIONS = {
+    1: [[(5, 0x2, 63), (8, 0xC, 492), (12, 0x28C, 1782), (16, 0xDC70, 660),
+         (16, 0x34B2DC72, 52), (None, None, 2)],
+        [(5, 0x2, 63), (8, 0x22, 523), (12, 0xC30, 2056),
+         (16, 0x14020C32, 1137), (16, 0xABB4D14C, 52), (None, None, 2)]],
+    2: [[(5, 0x2, 63), (8, 0xC, 486), (12, 0x126, 1632), (16, 0x202966, 701),
+         (16, 0x4DA82B6E, 77), (None, None, 2)],
+        [(5, 0x2, 63), (8, 0xA, 524), (12, 0x48A0, 1972),
+         (16, 0x9082342, 888), (16, 0x4DA82B6E, 61), (None, None, 2)]],
+    3: [[(5, 0x2, 63), (8, 0xA, 493), (12, 0x1448, 1855), (16, 0x586380, 653),
+         (16, 0x19E1766A, 54), (None, None, 2)],
+        [(5, 0x2, 63), (8, 0xA, 532), (12, 0x10068, 2347),
+         (16, 0x8E13040, 1210), (16, 0x19E1766A, 88), (None, None, 2)]],
+}
+
+
+@pytest.mark.parametrize("seed", _RELABELLED_DECISIONS)
 def test_members_in_other_labels_meet_the_closed_form(seed):
     # shuffled labels leave a member without the induction table, so the
-    # search runs from floor 1; it still finds 2^h(n-h) at every level
-    for hl in (hypercube(5), random_hl(5, seed)):
+    # search runs from floor 1; it still finds 2^h(n-h) at every level, and
+    # its decisions and node counts are pinned
+    for hl, expected in zip((hypercube(5), random_hl(5, seed)),
+                            _RELABELLED_DECISIONS[seed]):
         g = relabelled(hl.graph, seed)
-        for h in range(5):
+        found = []
+        for h in range(6):
             assert cuts._bound(g.adj, h) is None
             report = lambda_sh_exact(g, h)
-            assert report.value == (1 << h) * (5 - h)
-            assert is_h_edge_cut(g, report.witness_cut, h)
-            assert len(g.edge_boundary(report.witness_side)) == report.value
-        assert lambda_sh_exact(g, 5).value is None
+            found.append((report.value, report.witness_side,
+                          report.subsets_examined))
+            if h < 5:
+                assert report.value == (1 << h) * (5 - h)
+                assert is_h_edge_cut(g, report.witness_cut, h)
+                assert len(g.edge_boundary(report.witness_side)) == \
+                    report.value
+        assert found == expected
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])

@@ -206,6 +206,13 @@ def test_text_round_trip_random_graphs():
     "3 2\n0 1\n0 1\n",                 # an edge listed twice
     "2 1\n0 1\n\n",                    # blank trailing line
     "2 1\r\n0 1\r\n",                  # CRLF line ends
+    # a tokenizer takes these; only the round trip refuses them
+    "2 1 0 1\n",                       # edge on the header line
+    "2 1\n0\n1\n",                     # edge split over two lines
+    "2 1\n0\t1\n",                     # tab between the endpoints
+    " 2 1\n0 1\n",                     # leading space
+    "\n2 1\n0 1\n",                    # blank leading line
+    "2 1\n0 1 \n",                     # trailing space
 ])
 def test_text_rejects_malformed(bad):
     with pytest.raises(UsageError):
