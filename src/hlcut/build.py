@@ -258,20 +258,20 @@ def trace_to_text(t: Trace) -> str:
 
 def _trace_from_obj(obj, path: str) -> Trace:
     if len(path) > MAX_DIMENSION:  # bounds the recursion below
-        raise UsageError(
-            f"trace depth exceeds the construction cap {MAX_DIMENSION}")
+        raise TraceError(
+            f"trace depth exceeds the construction cap {MAX_DIMENSION}", path)
     if not isinstance(obj, dict):
-        raise UsageError(f"trace node at '{path or '<root>'}' is not an object")
+        raise TraceError("not an object", path)
     if set(obj) == {"leaf"}:
         if obj["leaf"] is not True:
-            raise UsageError(f"leaf marker at '{path or '<root>'}' must be true")
+            raise TraceError("leaf marker must be true", path)
         return LEAF
     if set(obj) != {"left", "right", "sigma"}:
-        raise UsageError(f"trace node at '{path or '<root>'}' has keys {sorted(obj)}")
+        raise TraceError(f"has keys {sorted(obj)}", path)
     sigma = obj["sigma"]
     if (not isinstance(sigma, list)
             or any(not isinstance(x, int) or isinstance(x, bool) for x in sigma)):
-        raise UsageError(f"sigma at '{path or '<root>'}' must be a list of integers")
+        raise TraceError("sigma must be a list of integers", path)
     return Node(_trace_from_obj(obj["left"], path + "0"),
                 _trace_from_obj(obj["right"], path + "1"),
                 tuple(sigma))

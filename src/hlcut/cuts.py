@@ -17,12 +17,12 @@ The flow is kept incrementally, as one residual mask per vertex: a node
 starts from its parent's flow, which stays feasible with the same value
 because every newly assigned vertex was free, with inflow equal to outflow.
 A child searches for augmenting paths again from X when a new Y vertex lies
-in the parent's residual reach, from the new X vertices outside that reach
-when there are some, and not at all otherwise; after a push the next search
-starts where the child's first one did. The list of masks is copied on
-write: both children share the parent's list, the Y child copies it before
-its first search, and the X child, explored last, writes into it in place,
-so a node that never searches never copies.
+in the parent's residual reach, and else from its X vertices outside that
+reach, if any; after a push the next search starts where the child's first
+one did. The list of masks is copied on write: both children share the
+parent's list, the Y child copies it before its first search, and the X
+child, explored last, writes into it in place, so a node that never
+searches never copies.
 
 Degree propagation forces moves: an assigned vertex with exactly h
 neighbours that are free or on its own side pulls its free neighbours to its
@@ -31,9 +31,9 @@ forced move drops only completions in which some vertex ends below degree
 h, so the search still meets the feasible cuts in the same order, and the
 result and its witness are exact. The same checks settle the degree
 condition: a vertex is checked when assigned and again whenever a neighbour
-joins the other side, so a leaf needs only a nonempty X. The X child, which
-is explored second, is closed only once it is popped, so a search that stops
-early never closes the X children it does not reach.
+joins the other side, so a leaf needs only a nonempty X. Every node, the
+root included, is closed only once it is popped, so a search that stops
+early never closes the children it does not reach.
 
 The search's lower bound follows the paper's induction on n. In the labels
 `realize` gives it, a member is the join of its aligned label halves L and
@@ -213,18 +213,6 @@ def _force(adj, x, y, cut, limit, h, check):
     return x, y, cut
 
 
-def _warm_start(x, y, seen, cx, cy):
-    """(start, seen) for `_augment` at the child (cx, cy) of the node
-    (x, y) whose residual reach is `seen`, by the rules in
-    `_branch_and_bound`'s docstring."""
-    new_x = cx & ~x
-    if cy & ~y & seen:
-        return cx, cx
-    if new_x & ~seen:
-        return new_x & ~seen, seen | new_x
-    return 0, seen
-
-
 def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     """Cheapest side X with cut < `limit`, deciding the highest free vertex
     first; the anchor 0 is pre-assigned to the complement Y. `best_side`,
@@ -240,19 +228,18 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     max-flow/min-cut it cuts at least as many edges as any X->Y flow
     carries; a node whose flow reaches `limit` has no completion below it.
 
-    Each child is closed under `_force`, seeded with the branched vertex
-    and its neighbours on the other side, and a vertex it assigns is not
-    branched on. The Y child is closed when it is pushed; the X child is
-    pushed unforced, with the parent's state and the limit in force then,
-    and closed at that limit when it is popped, so the same children are
-    dropped, counted and searched as when both are closed at once. A forced
-    move drops only completions in which some vertex ends below degree h,
-    and the vertices above the branched one are all assigned, so the
-    highest free vertex is the next in the order and the search meets the
-    feasible leaves in the same order as without forcing: the value and the
-    witness side are exact. A leaf needs only a nonempty X: the caller has
-    checked the anchor's degree, `_force` checks every other vertex as it
-    is assigned, and re-checks each one that loses a neighbour to the other
+    A child is pushed with its branched vertex on its side, its parent's
+    cut, flow and reach, and the limit in force then; the root is the
+    anchor's Y child of the empty assignment. A popped child is closed
+    under `_force` at that limit, seeded with the branched vertex and its
+    neighbours on the other side, and a vertex it assigns is not branched
+    on. A forced move drops only completions in which some vertex ends
+    below degree h, and the vertices above the branched one are all
+    assigned, so the highest free vertex is the next in the order and the
+    search meets the feasible leaves in the same order as without forcing:
+    the value and the witness side are exact. A leaf needs only a nonempty
+    X: `_force` checks every vertex, the anchor included, as it is
+    assigned, and re-checks each one that loses a neighbour to the other
     side, so every side keeps degree h at a leaf.
 
     Each node carries a unit flow as residual masks (see `_augment`) and its
@@ -264,12 +251,12 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     after the Y child's whole subtree, is the list's last reader and may
     write into it wherever the parent could. The root's list is `adj`
     itself. A maximum flow also leaves the set R its residual graph reaches
-    from X, which holds no Y vertex and has no residual arc leaving it;
-    every maximum flow has the same value and the same R, so no decision
-    depends on which paths `_augment` pushes. A child's search starts again
-    from X if a new Y vertex lies in R; else from the new X vertices outside
-    R, with R and the new X visited, if there are any; else the flow is
-    still maximum and R stays.
+    from X, which holds X and no Y vertex and has no residual arc leaving
+    it; every maximum flow has the same value and the same R, so no
+    decision depends on which paths `_augment` pushes. A child's search
+    starts again from X if a Y vertex lies in R, which only a new one can;
+    else from its X vertices outside R, with R and X visited, so where
+    there are none the flow is still maximum and R stays.
 
     The search stops once an incumbent reaches `floor`, a value known to be
     minimal. The `budget` (seconds, or None for none) starts here, at the
@@ -282,28 +269,27 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     examined = 0
     monotonic = time.monotonic
     deadline = None if budget is None else monotonic() + budget
-    # stack entries: (x, y, cut, residual masks, flow value, start, seen,
-    # owned, bit, pushed limit); a nonzero start is where the search for
-    # augmenting paths begins, with seen visited, and a zero start marks a
-    # maximum flow whose residual graph reaches exactly seen from X; owned
-    # says that no other entry reads the masks, so they may be written in
-    # place; a nonzero bit marks the unforced X child of the node (x, y),
-    # whose flow and reach the entry holds. The root's masks are the
-    # graph's own adj tuple, no flow, so a missed copy fails as a write
-    # into a tuple
-    stack = [(0, 1, 0, adj, 0, 0, 0, False, 0, 0)]
+    # stack entries: (x, y, cut, residual masks, flow value, seen, owned,
+    # bit, pushed limit), a child not yet closed: its branched bit is in x
+    # or y, and the cut, flow and residual reach `seen` are its parent's;
+    # owned says that no other entry reads the masks, so they may be
+    # written in place. The root's masks are the graph's own adj tuple, no
+    # flow, so a missed copy fails as a write into a tuple
+    stack = [(0, 1, 0, adj, 0, 0, False, 1, limit)]
     try:
         while stack:
-            x, y, cut, res, value, start, seen, owned, bit, lim = stack.pop()
-            if bit:  # close the X child at the limit it was pushed under
-                across = adj[bit.bit_length() - 1] & y
-                child = _force(adj, x | bit, y, cut + across.bit_count(),
-                               lim, h, bit | across)
-                if child is None:
-                    continue
-                cx, cy, cut = child
-                start, seen = _warm_start(x, y, seen, cx, cy)
-                x, y = cx, cy
+            x, y, cut, res, value, seen, owned, bit, lim = stack.pop()
+            across = adj[bit.bit_length() - 1] & (y if x & bit else x)
+            node = _force(adj, x, y, cut + across.bit_count(), lim, h,
+                          bit | across)
+            if node is None:
+                continue
+            x, y, cut = node
+            if y & seen:
+                start = seen = x
+            else:
+                start = x & ~seen
+                seen |= x
             examined += 1
             if deadline is not None \
                     and not examined & (_TIME_CHECK_INTERVAL - 1) \
@@ -327,16 +313,11 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
                 value, seen = _augment(adj, res, y, value, limit, start, seen)
             if value >= limit:
                 continue
-            v = free.bit_length() - 1
-            bit = 1 << v
-            stack.append((x, y, cut, res, value, 0, seen, owned, bit, limit))
-            across = adj[v] & x
-            child = _force(adj, x, y | bit, cut + across.bit_count(), limit,
-                           h, bit | across)
-            if child is not None:
-                cx, cy, child_cut = child
-                stack.append((cx, cy, child_cut, res, value,
-                              *_warm_start(x, y, seen, cx, cy), False, 0, 0))
+            bit = 1 << (free.bit_length() - 1)
+            stack.append((x | bit, y, cut, res, value, seen, owned, bit,
+                          limit))
+            stack.append((x, y | bit, cut, res, value, seen, False, bit,
+                          limit))
     except KeyboardInterrupt:
         raise IncompleteSearchError(h, best, best_side, examined,
                                     None) from None

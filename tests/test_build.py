@@ -238,16 +238,23 @@ def test_trace_text_shape():
         '{"left":{"leaf":true},"right":{"leaf":true},"sigma":[0]}\n'
 
 
-@pytest.mark.parametrize("bad", [
-    "[]\n",
-    '{"leaf":false}\n',
-    '{"left":{"leaf":true},"sigma":[0]}\n',
-    '{"left":{"leaf":true},"right":{"leaf":true},"sigma":[true]}\n',
-    "not json",
-])
+# malformed trace text -> the path of the node a TraceError names, or None
+# for text that is no JSON at all
+_MALFORMED = {
+    "[]\n": "",
+    '{"leaf":false}\n': "",
+    '{"left":{"leaf":true},"sigma":[0]}\n': "",
+    '{"left":{"leaf":true},"right":{"leaf":true},"sigma":[true]}\n': "",
+    '{"left":{"leaf":false},"right":{"leaf":true},"sigma":[0]}\n': "0",
+    "not json": None,
+}
+
+
+@pytest.mark.parametrize("bad", _MALFORMED)
 def test_trace_text_rejects_malformed(bad):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as err:
         trace_from_text(bad)
+    assert getattr(err.value, "path", None) == _MALFORMED[bad]
 
 
 @pytest.mark.parametrize("text", [left_deep_trace_text(20_000),

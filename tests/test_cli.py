@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -602,3 +604,17 @@ def test_fuzzed_files_never_exit_4(tmp_path_factory, text):
                  ("verify", "--lemma", "3.2", "--trace", path, "--h", 0)):
         # exit 1 is a verified mismatch, which none of these calls checks
         assert run(*argv) in (0, 2, 3), (argv[0], text)
+
+
+# -- the README ----------------------------------------------------------------------
+
+def test_readme_cli_lines_all_exit_0(tmp_path, monkeypatch):
+    # every `hlcut` line of the README's CLI block, in order, in one
+    # directory: a flag the CLI drops fails here, not in a reader's shell
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("hlcut ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

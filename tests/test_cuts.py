@@ -118,10 +118,10 @@ def test_square_has_no_2_cut(q2):
     result = lambda_sh_exact(q2.graph, 2)
     assert result.value is None
     assert result.subsets_examined == 0
-    # a search takes the root and its Y child: vertex 3 pulls 1 and 2 into
-    # its X child, which leaves 1 one neighbour off Y, and the Y child's
-    # forced moves put every vertex on Y
-    assert _plain(q2.graph, 2) == (None, None, 2)
+    # a search ends at its root: the anchor has exactly two neighbours, so
+    # its forced moves pull them onto Y, and they pull vertex 3, which puts
+    # every vertex on Y
+    assert _plain(q2.graph, 2) == (None, None, 1)
 
 
 def test_fig1_values(fig1):
@@ -487,17 +487,17 @@ def test_every_level_at_the_construction_cap(build):
 # which stops at no first leaf
 _RELABELLED_DECISIONS = {
     1: [[(5, 0x2, 63), (8, 0xC, 492), (12, 0x28C, 1782), (16, 0xDC70, 660),
-         (16, 0x34B2DC72, 52), (None, None, 2)],
+         (16, 0x34B2DC72, 52), (None, None, 1)],
         [(5, 0x2, 63), (8, 0x22, 523), (12, 0xC30, 2056),
-         (16, 0x14020C32, 1137), (16, 0xABB4D14C, 52), (None, None, 2)]],
+         (16, 0x14020C32, 1137), (16, 0xABB4D14C, 52), (None, None, 1)]],
     2: [[(5, 0x2, 63), (8, 0xC, 486), (12, 0x126, 1632), (16, 0x202966, 701),
-         (16, 0x4DA82B6E, 77), (None, None, 2)],
+         (16, 0x4DA82B6E, 77), (None, None, 1)],
         [(5, 0x2, 63), (8, 0xA, 524), (12, 0x48A0, 1972),
-         (16, 0x9082342, 888), (16, 0x4DA82B6E, 61), (None, None, 2)]],
+         (16, 0x9082342, 888), (16, 0x4DA82B6E, 61), (None, None, 1)]],
     3: [[(5, 0x2, 63), (8, 0xA, 493), (12, 0x1448, 1855), (16, 0x586380, 653),
-         (16, 0x19E1766A, 54), (None, None, 2)],
+         (16, 0x19E1766A, 54), (None, None, 1)],
         [(5, 0x2, 63), (8, 0xA, 532), (12, 0x10068, 2347),
-         (16, 0x8E13040, 1210), (16, 0x19E1766A, 88), (None, None, 2)]],
+         (16, 0x8E13040, 1210), (16, 0x19E1766A, 88), (None, None, 1)]],
 }
 
 
@@ -697,12 +697,10 @@ def test_flow_bound_equals_the_minimum_separating_cut(case, data):
     new_x = free & sum(1 << v for v, r in enumerate(roles) if r == "X")
     new_y = free & sum(1 << v for v, r in enumerate(roles) if r == "Y")
     x, y = x | new_x, y | new_y
-    if new_y & reach:
-        start, seen = x, x
-    elif new_x & ~reach:
-        start, seen = new_x & ~reach, reach | new_x
+    if y & reach:
+        start = seen = x
     else:
-        start, seen = 0, reach
+        start, seen = x & ~reach, reach | x
     _assert_unit_flow(g, _flow(g, res), x, y, value)
     warm = value
     if start:
@@ -753,15 +751,12 @@ def test_flow_bound_stays_maximum_along_a_chain_of_branches(q4, fig1, seed):
             children = [c for c in children if c is not None]
             if not children:
                 break
-            cx, cy, cut = children[0]
-            new_x = cx & ~x
-            if cy & ~y & seen:
-                start, seen = cx, cx
-            elif new_x & ~seen:
-                start, seen = new_x & ~seen, seen | new_x
+            x, y, cut = children[0]
+            if y & seen:
+                start = seen = x
             else:
-                start = 0
-            x, y = cx, cy
+                start = x & ~seen
+                seen |= x
             if start:
                 before = value
                 value, seen = cuts._augment(adj, res, y, value, unreachable,
