@@ -13,27 +13,15 @@ order gate. It assigns vertices to X or to the anchor's side Y and prunes a
 partial assignment by two lower bounds on every completion's cut: the edges
 already cut, and the value of an X->Y max-flow (any completion's cut
 separates the assigned X from the assigned Y, so it is at least that value).
-The flow is kept incrementally, as one residual mask per vertex: a node
-starts from its parent's flow, which stays feasible with the same value
-because every newly assigned vertex was free, with inflow equal to outflow.
-A child searches for augmenting paths again from X when a new Y vertex lies
-in the parent's residual reach, and else from its X vertices outside that
-reach, if any; after a push the next search starts where the child's first
-one did. The list of masks is copied on write: both children share the
-parent's list, the Y child copies it before its first search, and the X
-child, explored last, writes into it in place, so a node that never
-searches never copies.
+The flow is kept incrementally, as one residual mask per vertex, warm
+started from the parent's flow and copied on write (see
+`_branch_and_bound`), so a node that never searches never copies.
 
 Degree propagation forces moves: an assigned vertex with exactly h
 neighbours that are free or on its own side pulls its free neighbours to its
 side, to a fixpoint, and a vertex left with fewer than h fails the branch. A
 forced move drops only completions in which some vertex ends below degree
-h, so the search still meets the feasible cuts in the same order, and the
-result and its witness are exact. The same checks settle the degree
-condition: a vertex is checked when assigned and again whenever a neighbour
-joins the other side, so a leaf needs only a nonempty X. Every node, the
-root included, is closed only once it is popped, so a search that stops
-early never closes the children it does not reach.
+h, so the result and its witness are exact (see `_branch_and_bound`).
 
 The search's lower bound follows the paper's induction on n. In the labels
 `realize` gives it, a member is the join of its aligned label halves L and
@@ -52,22 +40,22 @@ also loses its matching edge, which g_1 of that half counts. So
     g_k(T, h) >= min(g_k(L, h') + g_k(R, h'), g_{k+1}(L, h), g_{k+1}(R, h)),
 
 with lam infinite, g_k(v, 0) = k and g_k(v, h > 0) infinite at a single
-vertex v. The recurrence reads no matching and every vertex starts from
-the same rows, so all blocks of one depth share one table: n + 1 rows at
-a vertex, one merge and one row fewer per depth. The aligned block
-{0..2^h-1} bounds the value from above. Where the table is infinite,
-there is no cut. Otherwise one search of the whole graph runs below the
-block's cut + 1, or below every edge + 1 without a block, and stops at
-the table's bound, or at 1 on a graph whose blocks do not split. It
-decides the highest vertex first, so the first side it finds at the
-minimum is the lexicographically smallest; where the two bounds meet, as
-on every member in the labels `realize` gives, that first side ends the
-search. A budget starts at the search's root, after the table and the
-block.
+vertex v. The recurrence reads no matching and every vertex starts from the
+same rows, so all blocks of one depth share one table, which depends on n
+alone (`_table`). The aligned block {0..2^h-1} bounds the value from above.
+Where the table is infinite, there is no cut. Otherwise one search of the
+whole graph runs below the block's cut + 1, or below every edge + 1 without
+a block, and stops at the table's bound, or at 1 on a graph whose blocks do
+not split. It decides the highest vertex first, so the first side it finds
+at the minimum is the lexicographically smallest; where the two bounds
+meet, as on every member in the labels `realize` gives, that first side
+ends the search. A budget starts at the search's root, after the table and
+the block.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -324,6 +312,22 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     return best, best_side, examined
 
 
+@functools.cache
+def _table(n):
+    """The induction table of dimension n (see the module docstring), per
+    depth d = 0..n: rows k = 0..n+1-d over levels 0..n, then the size row
+    s, the fewest vertices of minimum degree h: s(v, 0) = 1 and
+    s(T, h) = min(2 s(., h'), s(., h))."""
+    rows = [[k or _INF] + [_INF] * n for k in range(n + 2)] \
+        + [[1] + [_INF] * n]
+    tables = [rows]
+    for _ in range(n):
+        rows = [[min(2 * p, u, _INF) for p, u in zip(row[:1] + row[:-1], up)]
+                for row, up in zip(rows[:-2] + rows[-1:], rows[1:])]
+        tables.append(rows)
+    return tables
+
+
 def _bound(adj, h):
     """The induction table's lower bound on the level-h cut of `adj` (see
     the module docstring): _INF when it rules out every cut, and None when
@@ -335,20 +339,14 @@ def _bound(adj, h):
     n = order.bit_length() - 1
     if order != 1 << n:
         return None
-    # a single vertex's table, rows 0..n over levels 0..h; row 0 holds lam
-    # and row k >= 1 holds g_k
-    table = [[_INF] * (h + 1)] + [[k] + [_INF] * h for k in range(1, n + 1)]
     half = 1
     while half < order:
         lo = (1 << half) - 1
         if any((a >> ((v ^ half) & -half) & lo).bit_count() != 1
                for v, a in enumerate(adj)):
             return None
-        # both halves have this depth's table, so their sum is twice it
-        table = [[min(2 * p, u, _INF) for p, u in zip(row[:1] + row[:-1], up)]
-                 for row, up in zip(table, table[1:])]
         half <<= 1
-    return table[0][h]
+    return _table(n)[n][0][h] if h <= n else _INF
 
 
 def lambda_sh_exact(g: Graph, h: int,

@@ -15,10 +15,10 @@ from .errors import UsageError
 
 Edge = tuple[int, int]
 
-# Construction is allowed up to order 2^10; the subset scans are capped much
-# lower: the lemma searches decide all 2^order - 1 nonempty subsets and kappa
-# all 2^order - order - 1 removable sets, and their pruning makes order 32
-# quick, not order 64.
+# Construction, the cut search and the lemma checks (which read the
+# induction table, not subsets) go up to order 2^10; kappa's subset scan is
+# capped much lower: it decides all 2^order - order - 1 removable sets, and
+# its pruning makes order 32 quick, not order 64.
 MAX_ORDER = 1 << 10
 SOLVER_GATE = 32
 

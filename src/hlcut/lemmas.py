@@ -1,5 +1,5 @@
-"""Machine-checking the bound chain behind the main equality by a complete,
-pruned search over vertex subsets, plus the end-to-end equality check.
+"""Machine-checking the bound chain behind the main equality from the
+paper's induction on n, plus the end-to-end equality check.
 
 The three subset bounds, for a dimension-n member and a subset X with
 minimum induced degree >= h:
@@ -9,13 +9,42 @@ minimum induced degree >= h:
   L3.7   |boundary(X)| >= 2^h(n-h)           (h in 0..n-1, both sides >= h)
 
 and T3.8 is the solver-vs-formula equality check. Every check answers one
-level h, like the solvers. A bound's level is decided by a depth-first
-search that puts the vertices, in ascending order, into X or into its
-complement Y. A partial assignment is dropped once its quantity, which only
-grows, exceeds the level's bound, or once a vertex of X (for L3.7 also of
-Y) has fewer than h neighbours left on its own side or free. Every nonempty
-subset is thus decided, most of them by pruning, and only those at or below
-the bound are reached as leaves.
+level h, like the solvers, and reads the induction table of `cuts._table`
+in the labels of the member's trace, where every block T is the join of
+its aligned halves L and R by a perfect matching M. The table is a chain
+of lower bounds, one merge per depth, from single vertices up: the size
+row s for L3.2, lam (row 0) for L3.7 and g_1 for L3.5, each reading g_k
+one row further down. Its top entry at or above the bound proves the
+level for every member of dimension n. Where the entry equals the bound,
+every set meeting the bound meets each step of the chain with equality,
+so the tight sets are built block by block, with no search. Let E_k(T, h)
+be the nonempty X in T with minimum degree h attaining t_k(T, h) =
+min k|X| + |boundary of X in T| (for k = 0 also with a nonempty
+complement that keeps degree h; E_0 holds both sides of each cut), and
+h' = max(h-1, 0).
+
+- Case A, where 2 t_k(., h') is the entry: X meets both halves, and each
+  half keeps degree h' in X, since a vertex loses only its partner. So X
+  attains the entry only if X cap L is in E_k(L, h'), X cap R in
+  E_k(R, h') and no matching edge leaves X: X = X_L + M(X_L), where the
+  partner keeps every vertex at degree h.
+- Case B, where t_{k+1}(., h) is the entry: X lies in one half and each of
+  its vertices also loses its matching edge, so X is in E_{k+1}(L, h) or
+  E_{k+1}(R, h). For k = 0 that is one side of the cut; the other side
+  must keep degree h too, and both are listed.
+- L3.2's size row s counts no edges. Its case B, where s(., h) is the
+  entry, takes S(L, h) and S(R, h); its case A, where 2 s(., h-1) is,
+  takes unions of X_L in S(L, h-1) and X_R in S(R, h-1) that keep degree
+  h. Every set in S(T, h) is h-regular, by induction on the depth: so is
+  a set of case B, whose vertices have their partners outside it, and in
+  case A each vertex of X_L, (h-1)-regular, needs its partner in X_R to
+  reach degree h. X_L and X_R have the same size, so again
+  X = X_L + M(X_L), with M(X_L) in S(R, h-1).
+
+At a single vertex v, E_k(v, 0) and S(v, 0) are {{v}} for k >= 1; every
+other entry is infinite and its list empty. A set from either case attains
+the entry, so an entry that is not attained gives an empty list, never a
+wrong one.
 """
 
 from __future__ import annotations
@@ -23,9 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .build import HlGraph
-from .cuts import lambda_sh_exact
+from .cuts import _INF, _table, lambda_sh_exact
 from .errors import UsageError
-from .graph import Graph, check_gate, keeps_degree
+from .graph import keeps_degree
 
 LEMMA_32 = "L3.2"
 LEMMA_35 = "L3.5"
@@ -44,66 +73,94 @@ class LemmaVerdict:
     tight_witnesses: int  # subsets meeting the bound with equality
 
 
-# lemma -> (weight of |X|, weight of |boundary(X)|, whether the nonempty
-# complement must keep min degree >= h too)
-_FORMS = {LEMMA_32: (1, 0, False), LEMMA_35: (1, 1, False),
-          LEMMA_37: (0, 1, True)}
+def _reach(adj, x: int, within: int) -> int:
+    """The neighbours in `within` of the vertices of x. Into the other half
+    of a block those are their partners, so this is M(x) there."""
+    out, t = 0, x
+    while t:
+        b = t & -t
+        out |= adj[b.bit_length() - 1] & within
+        t ^= b
+    return out
 
 
-def _scan(g: Graph, lemma: str, h: int, bound: int,
-          graph_id: str) -> LemmaVerdict:
-    """The verdict on `lemma` at level h with the given bound. The search
-    reaches as leaves exactly the subsets X with min degree >= h (and, for
-    L3.7, a nonempty complement that keeps it too) whose quantity meets the
-    bound; it counts the tight ones and keeps the smallest violating mask.
-    L3.7 is symmetric in X and its complement, so there vertex 0 is pinned
-    to Y: each bipartition is reached once, counts twice, and offers the
-    smaller of its two sides as a counterexample. Recursion depth is
-    order <= SOLVER_GATE."""
-    check_gate(g.order)
-    a, b, both_sides = _FORMS[lemma]
-    adj = g.adj
-    full = g.vertex_mask
-    order = g.order
-    counterexample, tight = None, 0
+def _census(adj, n: int, row: int, h: int) -> set[int]:
+    """The sets of the whole dimension-n member `adj`, in its trace's
+    labels, that attain the table's `row` entry at level h: E_row for
+    row >= 0, S for row -1, the size row (see the module docstring)."""
+    return _tight(adj, _table(n), {}, n, 0, row, h)
 
-    def decide(v: int, x: int, y: int, size: int, cut: int) -> None:
-        """Every completion of X = x, Y = y over the vertices v.. whose
-        quantity a*size + b*cut, already at or below the bound, stays there.
-        Every vertex of x keeps h neighbours outside y, and under L3.7 every
-        vertex of y keeps h outside x; a new vertex can only break that for
-        itself and its neighbours on the other side."""
-        nonlocal counterexample, tight
-        if v == order:
-            if x and (y or not both_sides):
-                if a * size + b * cut == bound:
-                    tight += 1
-                else:
-                    if both_sides:
-                        x = min(x, full ^ x)
-                    if counterexample is None or x < counterexample:
-                        counterexample = x
-            return
-        bit = 1 << v
-        nbrs = adj[v]
-        across = nbrs & y
-        into_x = cut + across.bit_count()
-        if (v or not both_sides) and a * (size + 1) + b * into_x <= bound \
-                and keeps_degree(adj, bit, full ^ y, h) \
-                and (not both_sides
-                     or keeps_degree(adj, across, full ^ x ^ bit, h)):
-            decide(v + 1, x | bit, y, size + 1, into_x)
-        across = nbrs & x
-        into_y = cut + across.bit_count()
-        if a * size + b * into_y <= bound \
-                and keeps_degree(adj, across, full ^ y ^ bit, h) \
-                and (not both_sides or keeps_degree(adj, bit, full ^ x, h)):
-            decide(v + 1, x, y | bit, size, into_y)
 
-    decide(0, 0, 0, 0, 0)
-    return LemmaVerdict(lemma, graph_id, h, counterexample is None,
-                        counterexample, full,
-                        tight * 2 if both_sides else tight)
+def _tight(adj, table, memo, d: int, low: int, r: int, h: int) -> set[int]:
+    """The list of the depth-d block from vertex `low` for row r at level
+    h, memoised in `memo` per block, row and level."""
+    key = d, low, r, h
+    if key in memo:
+        return memo[key]
+    out = memo[key] = set()
+    entry = table[d][r][h]
+    if entry == _INF:
+        return out
+    if not d:
+        out.add(1 << low)
+        return out
+    half = 1 << (d - 1)
+    lower = max(h - 1, 0)
+    if 2 * table[d - 1][r][lower] == entry:  # case A
+        xs = _tight(adj, table, memo, d - 1, low, r, lower)
+        ys = _tight(adj, table, memo, d - 1, low + half, r, lower)
+        right = ((1 << half) - 1) << (low + half)
+        for x in xs:
+            y = _reach(adj, x, right)
+            if y in ys:
+                out.add(x | y)
+    up = r + 1 if r >= 0 else r  # the size row merges with itself
+    if table[d - 1][up][h] == entry:  # case B
+        block = ((1 << 2 * half) - 1) << low
+        for x in _tight(adj, table, memo, d - 1, low, up, h) \
+                | _tight(adj, table, memo, d - 1, low + half, up, h):
+            # each vertex has d > h neighbours in the block, so only the
+            # neighbours of X can leave the rest below h
+            rest = block ^ x
+            if r:
+                out.add(x)
+            elif keeps_degree(adj, _reach(adj, x, rest), rest, h):
+                out.update((x, rest))
+    return out
+
+
+def _canonical_adj(hl: HlGraph) -> list[int]:
+    """hl's adjacency in the labels of its trace, where `relabel` maps
+    each one to the graph's own."""
+    back = [0] * len(hl.relabel)
+    for c, p in enumerate(hl.relabel):
+        back[p] = c
+    out = []
+    for p in hl.relabel:
+        mask, t = 0, hl.graph.adj[p]
+        while t:
+            b = t & -t
+            mask |= 1 << back[b.bit_length() - 1]
+            t ^= b
+        out.append(mask)
+    return out
+
+
+def _verdict(hl: HlGraph, lemma: str, row: int, h: int,
+             bound: int) -> LemmaVerdict:
+    """The level-h verdict on `lemma` from the table's `row` entry for the
+    whole member: it holds once the entry reaches the bound, and its tight
+    sets are the census where the entry meets it. An entry below the bound
+    proves nothing either way, and no member up to the construction cap
+    has one, so it is an internal error, never a verdict."""
+    entry = _table(hl.n)[hl.n][row][h]
+    if entry < bound:
+        raise AssertionError(f"{lemma} at h={h}: the induction table gives "
+                             f"{entry}, below the bound {bound}")
+    tight = len(_census(_canonical_adj(hl), hl.n, row, h)) \
+        if entry == bound else 0
+    return LemmaVerdict(lemma, hl.label, h, True, None,
+                        hl.graph.vertex_mask, tight)
 
 
 def _require_level(h: int, top: int, what: str) -> None:
@@ -114,20 +171,20 @@ def _require_level(h: int, top: int, what: str) -> None:
 def check_lemma_32(hl: HlGraph, h: int) -> LemmaVerdict:
     """Every subset with min induced degree >= h has at least 2^h vertices."""
     _require_level(h, hl.n, "size bound")
-    return _scan(hl.graph, LEMMA_32, h, 1 << h, hl.label)
+    return _verdict(hl, LEMMA_32, -1, h, 1 << h)
 
 
 def check_lemma_35(hl: HlGraph, h: int) -> LemmaVerdict:
     """|X| + |boundary(X)| >= 2^h(n+1-h) for subsets with min degree >= h."""
     _require_level(h, hl.n - 1, "size-plus-boundary bound")
-    return _scan(hl.graph, LEMMA_35, h, (1 << h) * (hl.n + 1 - h), hl.label)
+    return _verdict(hl, LEMMA_35, 1, h, (1 << h) * (hl.n + 1 - h))
 
 
 def check_lemma_37(hl: HlGraph, h: int) -> LemmaVerdict:
     """|boundary(X)| >= 2^h(n-h) when both X and its complement keep min
     degree >= h."""
     _require_level(h, hl.n - 1, "boundary bound")
-    return _scan(hl.graph, LEMMA_37, h, (1 << h) * (hl.n - h), hl.label)
+    return _verdict(hl, LEMMA_37, 0, h, (1 << h) * (hl.n - h))
 
 
 def check_theorem(hl: HlGraph, h: int) -> LemmaVerdict:

@@ -12,7 +12,9 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from hlcut import Graph, HlGraph, fig1_graph, hypercube, random_hl
+from hlcut import (Graph, HlGraph, Node, fig1_graph, from_trace, hypercube,
+                   random_hl)
+from hlcut.build import LEAF
 
 
 # -- independent references (kept deliberately separate from package code) ----
@@ -242,6 +244,18 @@ def hl_members(draw, max_n: int = 5) -> HlGraph:
     n = draw(st.integers(min_value=0, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_hl(n, seed)
+
+
+@st.composite
+def hl_traces(draw, max_n: int = 4) -> HlGraph:
+    """A member realized from a random trace of depth 0..max_n, each
+    matching a random bijection, not one of `random_hl`'s shuffles."""
+    def trace(depth: int):
+        if not depth:
+            return LEAF
+        return Node(trace(depth - 1), trace(depth - 1),
+                    tuple(draw(st.permutations(range(1 << (depth - 1))))))
+    return from_trace(trace(draw(st.integers(0, max_n))), "trace")
 
 
 @st.composite

@@ -97,7 +97,7 @@ def test_criterion_4_bound_lemmas_full_scan(fig1):
     members = [hypercube(4), fig1] + [random_hl(4, s) for s in range(1, 6)]
     failures = []
     scans = 0
-    # the size bound admits h = n, the other two stop at n - 1; one scan
+    # the size bound admits h = n, the other two stop at n - 1; one check
     # decides one level of one bound
     checks = ((check_lemma_32, 4), (check_lemma_35, 3), (check_lemma_37, 3))
     for hl in members:
@@ -109,7 +109,7 @@ def test_criterion_4_bound_lemmas_full_scan(fig1):
                     failures.append((hl.label, v.lemma_id, v.h))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120.0
-    announce(4, ok, f"{scans} scans deciding all 2^16 - 1 subsets over 7 "
+    announce(4, ok, f"{scans} checks covering all 2^16 - 1 subsets over 7 "
                     f"members in {elapsed:.2f}s "
                     f"(budget 120s), failures={failures}")
     assert not failures

@@ -288,9 +288,9 @@ def test_solve_interrupt_exits_3_and_keeps_the_rows(tmp_path, capsys,
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
 def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
                                         monkeypatch, lemma):
-    # Ctrl-C at the first degree test of the search
-    monkeypatch.setattr(lemmas, "keeps_degree",
-                        _interrupted_after(0, lemmas.keeps_degree))
+    # Ctrl-C as the first level's census starts
+    monkeypatch.setattr(lemmas, "_census",
+                        _interrupted_after(0, lemmas._census))
     out = tmp_path / "verdicts.jsonl"
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
                "--out", out) == 3
@@ -304,8 +304,10 @@ def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
                                          ("3.7", (32, 64))])
 def test_verify_lemma_interrupt_keeps_the_rows(q4_trace, tmp_path, capsys,
                                               monkeypatch, lemma, tight):
-    # Ctrl-C as the level-2 scan starts, after levels 0 and 1 have finished
-    monkeypatch.setattr(lemmas, "_scan", _interrupted_after(2, lemmas._scan))
+    # Ctrl-C as the level-2 census starts, after levels 0 and 1 have
+    # finished
+    monkeypatch.setattr(lemmas, "_census",
+                        _interrupted_after(2, lemmas._census))
     out = tmp_path / "verdicts.jsonl"
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
                "--out", out) == 3
@@ -446,15 +448,20 @@ def test_verify_failing_verdict_exits_1_with_the_counterexample(
     assert json.loads(out.read_text())["counterexample"] == [0, 1]
 
 
-def test_verify_lemma_gate_names_the_cap(tmp_path, capsys):
+def test_verify_lemma_runs_past_order_32(tmp_path, capsys):
+    # the lemma checks read the induction table, so no subset-scan cap
+    # applies: Q6 has order 64
     trace = tmp_path / "q6.trace"
     assert run("generate", "--kind", "hypercube", "--n", 6,
                "--out", tmp_path / "q6.graph", "--trace", trace) == 0
     capsys.readouterr()
-    assert run("verify", "--lemma", "3.2", "--trace", trace, "--h", 0) == 2
+    assert run("verify", "--lemma", "3.7", "--trace", trace, "--h",
+               "all") == 0
     captured = capsys.readouterr()
-    assert "subset-scan cap of 32 vertices" in captured.err
-    assert "override" not in captured.err and captured.out == ""
+    assert captured.out.splitlines() == [
+        f"L3.7  {trace}  h={h}: holds (subsets={2 ** 64 - 1}, tight={t})"
+        for h, t in enumerate([128, 384, 480, 320, 132, 12])]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "kappa"])
@@ -468,26 +475,24 @@ def test_scans_take_no_override_flag(q4_trace, fig1_file, command):
 
 
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
-def test_verify_lemma_prunes_every_level(q4_trace, capsys, monkeypatch,
-                                         lemma):
-    # every level decides all 65 535 subsets, and all levels together make
-    # fewer than 2^14 degree tests (2 415, 3 292 and 10 943 when written);
-    # without the bound prune the h = 0 search alone would degree-test its
-    # way to all 2^16 leaves
-    tests = []
-    real = lemmas.keeps_degree
+def test_verify_lemma_reads_one_census_per_level(q4_trace, capsys,
+                                                 monkeypatch, lemma):
+    # every level reports all 65 535 subsets decided, from one census of
+    # the table's tight sets at that level and no subset search
+    levels = []
+    real = lemmas._census
 
-    def counting(*args):
-        tests.append(args)
-        return real(*args)
+    def counting(adj, n, row, h):
+        levels.append(h)
+        return real(adj, n, row, h)
 
-    monkeypatch.setattr(lemmas, "keeps_degree", counting)
+    monkeypatch.setattr(lemmas, "_census", counting)
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h",
                "all") == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == (5 if lemma == "3.2" else 4)
+    assert levels == list(range(5 if lemma == "3.2" else 4))
+    assert len(rows) == len(levels)
     assert all("holds (subsets=65535," in row for row in rows)
-    assert 0 < len(tests) < 2 ** 14
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "kappa"])

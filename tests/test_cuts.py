@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hlcut import (IncompleteSearchError, UsageError, canonical_cut,
                    check_lemma_32, hypercube, is_h_edge_cut, is_h_vertex_cut,
-                   lambda_sh_exact, mask_of, random_hl, read_graph, realize,
-                   write_graph)
+                   kappa_sh_exact, lambda_sh_exact, mask_of, random_hl,
+                   read_graph, realize, write_graph)
 from hlcut import cuts
 from hlcut.build import MAX_DIMENSION
 from hlcut.cli import main
@@ -791,12 +791,14 @@ def test_disconnected_input_rejected():
 
 
 def test_gate_caps_the_subset_scans_at_32_vertices():
-    # only the subset scans are gated; the cut search takes any order
+    # only kappa's subset scan is gated; the cut search takes any order,
+    # and the lemma checks read the induction table
     ring = Graph(40, [(i, (i + 1) % 40) for i in range(40)])
     assert lambda_sh_exact(ring, 0).value == 2
+    assert check_lemma_32(hypercube(6), 0).holds
     with pytest.raises(UsageError, match="order 64 exceeds the subset-scan "
                                          "cap of 32 vertices") as err:
-        check_lemma_32(hypercube(6), 0)
+        kappa_sh_exact(hypercube(6).graph, 0)
     assert "override" not in str(err.value)
 
 

@@ -8,16 +8,18 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from hlcut import (LEMMA_32, LEMMA_35, LEMMA_37, THEOREM, UsageError,
-                   block_vertices, check_lemma_32, check_lemma_35,
-                   check_lemma_37, check_theorem, hypercube, lambda_sh_exact,
-                   mask_of, random_hl, realize)
-from hlcut import lemmas
+from hlcut import (FIG1_TRACE, LEMMA_32, LEMMA_35, LEMMA_37, THEOREM,
+                   UsageError, block_vertices, check_lemma_32, check_lemma_35,
+                   check_lemma_37, check_theorem, cli, fig1_graph, from_trace,
+                   hypercube, lambda_sh_exact, mask_of, random_hl, realize,
+                   write_trace)
+from hlcut import cuts, lemmas
+from hlcut.build import MAX_DIMENSION
 from hlcut.graph import Graph
-from hlcut.lemmas import _scan
 
-from conftest import (reference_boundary_size, reference_induced_min_degree,
-                      reference_min_degree_subsets, small_graphs)
+from conftest import (hl_traces, reference_adjacency, reference_boundary_size,
+                      reference_induced_min_degree,
+                      reference_min_degree_subsets)
 
 
 CHECKS = {LEMMA_32: check_lemma_32, LEMMA_35: check_lemma_35,
@@ -176,8 +178,8 @@ def test_dimension_five_tight_counts_are_the_subcubes():
 
 
 def test_level_out_of_range_rejected(q4, monkeypatch):
-    # the level is validated before the search starts
-    monkeypatch.setattr(lemmas, "_scan", None)
+    # the level is validated before the table is read
+    monkeypatch.setattr(lemmas, "_verdict", None)
     with pytest.raises(UsageError):
         check_lemma_37(q4, 4)
     with pytest.raises(UsageError):
@@ -186,71 +188,136 @@ def test_level_out_of_range_rejected(q4, monkeypatch):
         check_lemma_35(q4, -1)
 
 
-# -- a failing graph produces a re-checkable counterexample -----------------------
+# -- the census against the brute force -----------------------------------------
 
-def test_star_violates_boundary_bound():
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    bounds = _bounds(2, 0)
-    v37 = _scan(star, LEMMA_37, 0, bounds[LEMMA_37], "star")
-    assert not v37.holds
-    assert v37.counterexample == mask_of([1])  # the smallest violating mask
-    assert len(star.edge_boundary(v37.counterexample)) < (1 << 0) * 2
-    v35 = _scan(star, LEMMA_35, 0, bounds[LEMMA_35], "star")
-    assert not v35.holds
-    x = v35.counterexample
-    assert x.bit_count() + len(star.edge_boundary(x)) < (1 << 0) * 3
-
-
-def _brute_force_bounds(g: Graph, n: int, h: int) -> dict:
-    """(holds, counterexample, tight_witnesses) per bound, straight from the
-    definitions: every subset with min degree >= h, and for L3.7 also a
-    nonempty complement with min degree >= h."""
-    bounds = _bounds(n, h)
-    found = {k: [True, None, 0] for k in bounds}
+def _brute_force_bounds(g: Graph, n: int) -> dict:
+    """{h: {lemma: (holds, counterexample, tight_witnesses)}} for every
+    level 0..n, straight from the definitions: one pass over every nonempty
+    subset X on adjacency sets. X counts at every level up to its minimum
+    degree, and for L3.7 only while a nonempty complement keeps it too."""
     edges = g.edges()
-    qualifying = _qualifying(g, h)
-    keeps = set(qualifying)
-    for x in qualifying:
+    masks = [sum(1 << w for w in nbrs)
+             for _, nbrs in sorted(reference_adjacency(g.order, edges).items())]
+    full = (1 << g.order) - 1
+    least = [-1] * (full + 1)  # the empty set qualifies at no level
+    for x in range(1, full + 1):
+        least[x] = min((masks[v] & x).bit_count()
+                       for v in range(g.order) if x >> v & 1)
+    found = {h: {k: [True, None, 0] for k in _bounds(n, h)}
+             for h in range(n + 1)}
+    for x in range(1, full + 1):
         boundary = reference_boundary_size(edges, x)
-        applicable = [LEMMA_32, LEMMA_35]
-        if g.vertex_mask ^ x in keeps:  # a nonempty complement that keeps h
-            applicable.append(LEMMA_37)
-        for k in applicable:
-            q = _quantity(k, x.bit_count(), boundary)
-            if q < bounds[k]:
-                found[k][0] = False
-                if found[k][1] is None:
-                    found[k][1] = x
-            elif q == bounds[k]:
-                found[k][2] += 1
-    return {k: tuple(v) for k, v in found.items()}
+        for h in range(min(least[x], n) + 1):
+            bounds = _bounds(n, h)
+            applicable = [LEMMA_32, LEMMA_35]
+            if least[full ^ x] >= h:
+                applicable.append(LEMMA_37)
+            for k in applicable:
+                q = _quantity(k, x.bit_count(), boundary)
+                if q < bounds[k]:
+                    found[h][k][0] = False
+                    if found[h][k][1] is None:
+                        found[h][k][1] = x
+                elif q == bounds[k]:
+                    found[h][k][2] += 1
+    return {h: {k: tuple(v) for k, v in row.items()}
+            for h, row in found.items()}
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs())
-def test_scan_matches_brute_force(g):
-    # arbitrary graphs reach levels above some vertex's degree, which the
-    # regular family never does
-    n = max(a.bit_count() for a in g.adj)
-    for h in range(n + 2):
-        expected = _brute_force_bounds(g, n, h)
-        for k, bound in _bounds(n, h).items():
-            v = _scan(g, k, h, bound, "g")
+def _assert_census_matches_brute_force(hl):
+    expected = _brute_force_bounds(hl.graph, hl.n)
+    for k, check in CHECKS.items():
+        for h in range(hl.n + 1 - SLACK[k]):
+            v = check(hl, h)
             assert (v.h, v.holds, v.counterexample, v.tight_witnesses) == \
-                (h, *expected[k])
-            assert v.subsets_checked == g.vertex_mask
+                (h, *expected[h][k])
+            assert v.subsets_checked == hl.graph.vertex_mask
 
 
-def test_scan_matches_brute_force_on_the_order_16_member():
-    # the benchmark's HL4, far past the hypothesis graphs' order 9
-    hl = random_hl(4, 1)
-    g = hl.graph
-    levels = range(hl.n + 1)
-    expected = {h: _brute_force_bounds(g, hl.n, h) for h in levels}
-    for k in CHECKS:
-        verdicts = [_scan(g, k, h, _bounds(hl.n, h)[k], "g") for h in levels]
-        assert [(v.h, v.holds, v.counterexample, v.tight_witnesses)
-                for v in verdicts] == [(h, *expected[h][k]) for h in levels]
+@settings(max_examples=12, deadline=None)
+@given(hl_traces(max_n=4))
+def test_census_matches_brute_force(hl):
+    # random traces of depth 0-4, every matching a random bijection
+    _assert_census_matches_brute_force(hl)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hypercube(4), lambda: random_hl(4, 1), lambda: random_hl(4, 2),
+    lambda: random_hl(4, 3), lambda: from_trace(FIG1_TRACE, "fig1-trace"),
+    fig1_graph], ids=["Q4", "HL4-1", "HL4-2", "HL4-3", "fig1-trace", "fig1"])
+def test_census_matches_brute_force_on_the_order_16_members(build):
+    # fig1_graph() keeps its public numbering, which the census maps back
+    # to the trace's labels
+    _assert_census_matches_brute_force(build())
+
+
+@pytest.mark.parametrize("n", range(MAX_DIMENSION + 1))
+def test_table_meets_every_bound(n):
+    # a verdict reads only the table's top entries, which depend on n
+    # alone: they equal each bound at every level up to the construction
+    # cap, so no member meets the AssertionError and every level has tight
+    # sets
+    top = cuts._table(n)[n]
+    for h in range(n + 1):
+        bounds = _bounds(n, h)
+        assert top[-1][h] == bounds[LEMMA_32]
+        if h < n:
+            assert top[1][h] == bounds[LEMMA_35]
+            assert top[0][h] == bounds[LEMMA_37]
+
+
+def test_table_below_the_bound_is_an_internal_error(q4, tmp_path, capsys,
+                                                     monkeypatch):
+    # an entry below the bound proves nothing, so it is a bug (exit 4),
+    # never a FAILS verdict (exit 1)
+    def lowered(n):
+        tables = [[list(row) for row in rows] for rows in cuts._table(n)]
+        tables[n][0][2] -= 1
+        return tables
+
+    monkeypatch.setattr(lemmas, "_table", lowered)
+    with pytest.raises(AssertionError, match="L3.7 at h=2"):
+        check_lemma_37(q4, 2)
+    assert check_lemma_37(q4, 1).holds
+    trace = tmp_path / "q4.trace"
+    write_trace(trace, q4.trace)
+    assert cli.main(["verify", "--lemma", "3.7", "--trace", str(trace),
+                     "--h", "2"]) == 4
+    assert "internal error: AssertionError" in capsys.readouterr().err
+
+
+# tight counts of the census past the brute force's reach
+CENSUS = {
+    ("Q6", LEMMA_32): [64, 192, 240, 160, 60, 12, 1],
+    ("Q6", LEMMA_37): [128, 384, 480, 320, 132, 12],
+    ("Q7", LEMMA_37): [256, 896, 1344, 1120, 560, 182, 14],
+    ("Q8", LEMMA_32): [256, 1024, 1792, 1792, 1120, 448, 112, 16, 1],
+    ("Q8", LEMMA_37): [512, 2048, 3584, 3584, 2240, 896, 240, 16],
+    ("HL6[seed=1]", LEMMA_37): [128, 384, 178, 20, 10, 2],
+}
+
+
+@pytest.mark.parametrize("graph,lemma", sorted(CENSUS))
+def test_census_counts_are_pinned(graph, lemma):
+    hl = {"Q6": hypercube(6), "Q7": hypercube(7), "Q8": hypercube(8),
+          "HL6[seed=1]": random_hl(6, 1)}[graph]
+    verdicts = [CHECKS[lemma](hl, h) for h in range(hl.n + 1 - SLACK[lemma])]
+    assert all(v.holds and v.subsets_checked == 2 ** (1 << hl.n) - 1
+               for v in verdicts)
+    assert [v.tight_witnesses for v in verdicts] == CENSUS[graph, lemma]
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_cube_minimum_cuts_are_the_subcubes(n):
+    # each minimum cut of Q_n at level h <= n - 2 splits off a subcube of
+    # dimension h, C(n, h) 2^(n-h) of them, plus at h = n - 2 the n splits
+    # into two halves; at h = n - 1 only those n are left. L3.7 counts both
+    # sides of every cut
+    q = hypercube(n)
+    cuts_found = [check_lemma_37(q, h).tight_witnesses // 2 for h in range(n)]
+    expected = [comb(n, h) << (n - h) for h in range(n - 1)] + [n]
+    expected[n - 2] += n
+    assert cuts_found == expected
 
 
 # -- equality check (T3.8) ----------------------------------------------------------
