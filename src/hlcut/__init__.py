@@ -2,7 +2,12 @@
 interconnection networks: construct family members with verifiable traces,
 compute the degree-preserving edge-cut metric exactly, machine-check the
 bound chain behind the closed form, and decide the vertex-variant's
-existence by complete, pruned search."""
+existence by complete, pruned search.
+
+The records (Leaf, Node, HlGraph, CutReport, KappaReport, LemmaVerdict) are
+named tuples: each compares equal to the plain tuple of its fields, so
+Leaf() equals () and is falsy. The package tells them apart with
+`isinstance` only."""
 
 from .build import (FIG1_EDGES, FIG1_RELABEL, FIG1_TRACE, HlGraph, Leaf, Node,
                     block_vertices, fig1_graph, from_trace, hypercube,

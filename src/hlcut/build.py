@@ -14,9 +14,8 @@ leftmost depth-(n-h) block is exactly {0..2^h-1}, and the level of an edge
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import json
+from typing import NamedTuple
 
 from .errors import TraceError, UsageError
 from .graph import Graph, MAX_ORDER, mask_of, read_text, write_text
@@ -26,13 +25,12 @@ MASK64 = (1 << 64) - 1
 MAX_DIMENSION = MAX_ORDER.bit_length() - 1  # order 2^n must stay within MAX_ORDER
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """A single vertex, the base of the recursion."""
+class Leaf(NamedTuple):
+    """A single vertex, the base of the recursion. As a named tuple with no
+    fields it equals () and is falsy, so test for it with `isinstance`."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     left: "Leaf | Node"
     right: "Leaf | Node"
     sigma: tuple[int, ...]
@@ -47,25 +45,27 @@ def identity_matching(size: int) -> tuple[int, ...]:
     return tuple(range(size))
 
 
-def _realize(trace: Trace, path: str) -> tuple[int, list[tuple[int, int]]]:
+def _realize(trace: Trace, path: str, base: int,
+             edges: list[tuple[int, int]]) -> int:
+    """The order of `trace`, whose edges go onto `edges` at their final
+    labels, those of its local labels plus `base`."""
     if len(path) > MAX_DIMENSION:  # bounds the recursion and its 2^depth work
         raise TraceError(
             f"trace depth exceeds the construction cap {MAX_DIMENSION}", path)
     if isinstance(trace, Leaf):
-        return 1, []
+        return 1
     if not isinstance(trace, Node):
         raise TraceError(f"not a trace node: {trace!r}", path)
-    lo, left_edges = _realize(trace.left, path + "0")
-    ro, right_edges = _realize(trace.right, path + "1")
+    lo = _realize(trace.left, path + "0", base, edges)
+    ro = _realize(trace.right, path + "1", base + lo, edges)
     if lo != ro:
         raise TraceError(f"unbalanced subtrees: left order {lo}, right order {ro}", path)
     sigma = trace.sigma
     if sorted(sigma) != list(range(lo)):
         raise TraceError("matching is not a bijection", path)
-    edges = left_edges
-    edges.extend((u + lo, v + lo) for u, v in right_edges)
-    edges.extend((i, lo + sigma[i]) for i in range(lo))
-    return 2 * lo, edges
+    top = base + lo
+    edges.extend(zip(range(base, top), [top + v for v in sigma]))
+    return 2 * lo
 
 
 def realize(trace: Trace) -> Graph:
@@ -75,12 +75,11 @@ def realize(trace: Trace) -> Graph:
     realizes is n-regular, connected and of order 2^n: each join doubles the
     order, gives every vertex one matching edge, and links two connected
     halves."""
-    order, edges = _realize(trace, "")
-    return Graph(order, edges)
+    edges: list[tuple[int, int]] = []
+    return Graph(_realize(trace, "", 0, edges), edges)
 
 
-@dataclass(frozen=True)
-class HlGraph:
+class HlGraph(NamedTuple):
     """A hypercube-like graph together with the trace witnessing membership.
 
     `relabel` maps canonical trace labels to the graph's public labels; it is

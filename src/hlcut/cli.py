@@ -149,14 +149,18 @@ def cmd_kappa(args) -> int:
     return OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The `hlcut` parser and its subparser for each command name."""
     parser = argparse.ArgumentParser(
         prog="hlcut",
         description="Exact edge- and vertex-fault tolerance lab for "
                     "hypercube-like networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("generate", help="write a graph file (and trace)")
+    p = commands["generate"] = sub.add_parser(
+        "generate", help="write a graph file (and trace)")
     p.add_argument("--kind", required=True,
                    choices=["hypercube", "random", "fig1"])
     p.add_argument("--n", type=int, default=None)
@@ -165,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="exact minimum degree-preserving cut")
+    p = commands["solve"] = sub.add_parser(
+        "solve", help="exact minimum degree-preserving cut")
     p.add_argument("--graph", required=True)
     p.add_argument("--h", required=True, help="level, or 'all'")
     # kept so that scripts naming the search still run; it has one value
@@ -181,27 +186,45 @@ def _build_parser() -> argparse.ArgumentParser:
                         "gated by order")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="check a subset bound or the equality")
+    p = commands["verify"] = sub.add_parser(
+        "verify", help="check a subset bound or the equality")
     p.add_argument("--lemma", required=True, choices=sorted(_LEMMA_CHECKS))
     p.add_argument("--trace", required=True)
     p.add_argument("--h", required=True, help="level, or 'all'")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("kappa", help="vertex-variant existence and value")
+    p = commands["kappa"] = sub.add_parser(
+        "kappa", help="vertex-variant existence and value")
     p.add_argument("--graph", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kappa)
 
-    return parser
+    return parser, commands
 
 
-_PARSER = _build_parser()  # parse_args keeps no state between calls
+# parsing keeps no state between calls
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, with a command's own arguments parsed
+    once, by its subparser alone: the full parser would first classify
+    every token that its subparser then parses again."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
@@ -70,8 +70,7 @@ _TIME_CHECK_INTERVAL = 4096
 _INF = 1 << 62
 
 
-@dataclass(frozen=True)
-class CutReport:
+class CutReport(NamedTuple):
     """A minimum cut and its witness; value, witness_cut and witness_side
     are None when no qualifying cut exists. subsets_examined counts the
     nodes of the one branch-and-bound search."""

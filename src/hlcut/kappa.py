@@ -25,15 +25,14 @@ Together |N(C)| >= 2m - order, and N(C) lies in the cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import UsageError
 from .graph import Graph, check_gate, connected_within, keeps_degree
 
 
-@dataclass(frozen=True)
-class KappaReport:
+class KappaReport(NamedTuple):
     h: int
     exists: bool
     value: int | None       # witness size when exists

@@ -45,11 +45,17 @@ At a single vertex v, E_k(v, 0) and S(v, 0) are {{v}} for k >= 1; every
 other entry is infinite and its list empty. A set from either case attains
 the entry, so an entry that is not attained gives an empty list, never a
 wrong one.
+
+The lists are built per depth, one loop over every block of that depth,
+and the levels asked of one member object share them. In case A of E_0,
+which holds both sides of each cut, only the X_L without the block's
+lowest vertex are matched: M(L - X_L) = R - M(X_L), so each gives both
+sides of its cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .build import HlGraph
 from .cuts import _INF, _table, lambda_sh_exact
@@ -62,8 +68,7 @@ LEMMA_37 = "L3.7"
 THEOREM = "T3.8"
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(NamedTuple):
     lemma_id: str
     graph_id: str
     h: int
@@ -84,54 +89,88 @@ def _reach(adj, x: int, within: int) -> int:
     return out
 
 
+# The member last asked, its adjacency in trace labels, and the census
+# lists built for it so far, per (depth, row, level). The levels of one
+# member share the lists below them; a member is held by identity, never
+# by equality, and only the last one, so another member starts afresh.
+_held: list = [None, None, {}]
+
+
 def _census(adj, n: int, row: int, h: int) -> set[int]:
     """The sets of the whole dimension-n member `adj`, in its trace's
     labels, that attain the table's `row` entry at level h: E_row for
-    row >= 0, S for row -1, the size row (see the module docstring)."""
-    return _tight(adj, _table(n), {}, n, 0, row, h)
+    row >= 0, S for row -1, the size row (see the module docstring). It
+    reads and adds to the held lists when `adj` is the held adjacency."""
+    memo = _held[2] if _held[1] is adj else {}
+    return _tight(adj, _table(n), memo, n, row, h)[0]
 
 
-def _tight(adj, table, memo, d: int, low: int, r: int, h: int) -> set[int]:
-    """The list of the depth-d block from vertex `low` for row r at level
-    h, memoised in `memo` per block, row and level."""
-    key = d, low, r, h
+def _tight(adj, table, memo, d: int, r: int, h: int) -> list[set[int]]:
+    """The list of every depth-d block for row r at level h, block i
+    holding the vertices from i 2^d, built from the lists of blocks 2i and
+    2i + 1 one depth down and memoised in `memo` per depth, row and level.
+    """
+    key = d, r, h
     if key in memo:
         return memo[key]
-    out = memo[key] = set()
+    blocks = len(adj) >> d
     entry = table[d][r][h]
     if entry == _INF:
+        out = memo[key] = [set() for _ in range(blocks)]
         return out
     if not d:
-        out.add(1 << low)
+        out = memo[key] = [{1 << v} for v in range(blocks)]
         return out
     half = 1 << (d - 1)
+    side = (1 << half) - 1
     lower = max(h - 1, 0)
-    if 2 * table[d - 1][r][lower] == entry:  # case A
-        xs = _tight(adj, table, memo, d - 1, low, r, lower)
-        ys = _tight(adj, table, memo, d - 1, low + half, r, lower)
-        right = ((1 << half) - 1) << (low + half)
-        for x in xs:
-            y = _reach(adj, x, right)
-            if y in ys:
-                out.add(x | y)
     up = r + 1 if r >= 0 else r  # the size row merges with itself
-    if table[d - 1][up][h] == entry:  # case B
-        block = ((1 << 2 * half) - 1) << low
-        for x in _tight(adj, table, memo, d - 1, low, up, h) \
-                | _tight(adj, table, memo, d - 1, low + half, up, h):
-            # each vertex has d > h neighbours in the block, so only the
-            # neighbours of X can leave the rest below h
-            rest = block ^ x
+    pairs = _tight(adj, table, memo, d - 1, r, lower) \
+        if 2 * table[d - 1][r][lower] == entry else None  # case A
+    parts = _tight(adj, table, memo, d - 1, up, h) \
+        if table[d - 1][up][h] == entry else None  # case B
+    out = memo[key] = []
+    for i in range(blocks):
+        sets = set()
+        low = i << d
+        left = side << low
+        right = left << half
+        if pairs is not None:
+            xs, ys = pairs[2 * i], pairs[2 * i + 1]
             if r:
-                out.add(x)
-            elif keeps_degree(adj, _reach(adj, x, rest), rest, h):
-                out.update((x, rest))
+                for x in xs:
+                    y = _reach(adj, x, right)
+                    if y in ys:
+                        sets.add(x | y)
+            else:
+                # each cut once, from its side without the lowest vertex
+                for x in xs:
+                    if not x >> low & 1:
+                        y = _reach(adj, x, right)
+                        if y in ys:
+                            sets.add(x | y)
+                            sets.add((left ^ x) | (right ^ y))
+        if parts is not None:
+            if r:
+                sets.update(parts[2 * i], parts[2 * i + 1])
+            else:
+                block = left | right
+                for x in (*parts[2 * i], *parts[2 * i + 1]):
+                    # each vertex has d > h neighbours in the block, so
+                    # only the neighbours of X can leave the rest below h
+                    rest = block ^ x
+                    if keeps_degree(adj, _reach(adj, x, rest), rest, h):
+                        sets.update((x, rest))
+        out.append(sets)
     return out
 
 
-def _canonical_adj(hl: HlGraph) -> list[int]:
+def _canonical_adj(hl: HlGraph) -> tuple[int, ...]:
     """hl's adjacency in the labels of its trace, where `relabel` maps
-    each one to the graph's own."""
+    each one to the graph's own: the graph's own adjacency where those
+    labels are the trace's, as for every member built from a trace."""
+    if hl.relabel == tuple(range(len(hl.relabel))):
+        return hl.graph.adj
     back = [0] * len(hl.relabel)
     for c, p in enumerate(hl.relabel):
         back[p] = c
@@ -143,7 +182,7 @@ def _canonical_adj(hl: HlGraph) -> list[int]:
             mask |= 1 << back[b.bit_length() - 1]
             t ^= b
         out.append(mask)
-    return out
+    return tuple(out)
 
 
 def _verdict(hl: HlGraph, lemma: str, row: int, h: int,
@@ -157,8 +196,11 @@ def _verdict(hl: HlGraph, lemma: str, row: int, h: int,
     if entry < bound:
         raise AssertionError(f"{lemma} at h={h}: the induction table gives "
                              f"{entry}, below the bound {bound}")
-    tight = len(_census(_canonical_adj(hl), hl.n, row, h)) \
-        if entry == bound else 0
+    tight = 0
+    if entry == bound:
+        if _held[0] is not hl:
+            _held[:] = hl, _canonical_adj(hl), {}
+        tight = len(_census(_held[1], hl.n, row, h))
     return LemmaVerdict(lemma, hl.label, h, True, None,
                         hl.graph.vertex_mask, tight)
 

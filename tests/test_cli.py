@@ -524,6 +524,40 @@ def test_parser_state_does_not_carry_between_calls(q4_trace, tmp_path,
     assert capsys.readouterr().out.count("holds") == 2
 
 
+def _exit(call, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        call(argv)
+    return err.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bisect"], ["-h"], ["verify", "--help"], ["kappa", "-h"],
+    ["verify", "--lemma", "3.2", "--trace", "t", "--h", "1", "--budget", "1"],
+    ["solve", "--graph", "g", "--h", "0", "stray"],
+    ["generate", "--kind", "hypercube"], ["verify", "--lemma", "3.9",
+                                          "--trace", "t", "--h", "1"],
+    ["generate", "--kind", "hypercube", "--n", "four", "--out", "g"],
+], ids=["no-command", "unknown-command", "help", "command-help",
+        "command-h", "unknown-option", "stray-token", "missing-required",
+        "bad-lemma", "bad-n-type"])
+def test_main_parses_like_the_full_parser(argv, capsys):
+    # main hands a command's tokens to its subparser alone; its output and
+    # exit code match the full parser's wherever parsing stops
+    assert _exit(main, argv, capsys) == _exit(cli._PARSER.parse_args, argv,
+                                              capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "random", "--n", "4", "--seed", "1", "--out", "g"],
+    ["solve", "--graph", "g", "--h", "all", "--method", "branch-and-bound",
+     "--budget", "2.5", "--expect-theorem", "--out", "o", "--override-gate"],
+    ["verify", "--lemma", "3.7", "--trace", "t", "--h", "all"],
+    ["kappa", "--graph", "g", "--h", "2", "--out", "o"],
+], ids=["generate", "solve", "verify", "kappa"])
+def test_main_parses_a_command_to_the_full_parsers_namespace(argv):
+    assert cli._parse(argv) == cli._PARSER.parse_args(argv)
+
+
 def test_verify_level_out_of_range(q4_trace):
     assert run("verify", "--lemma", "3.7", "--trace", q4_trace, "--h", 5) == 2
 

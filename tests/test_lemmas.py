@@ -286,6 +286,45 @@ def test_table_below_the_bound_is_an_internal_error(q4, tmp_path, capsys,
     assert "internal error: AssertionError" in capsys.readouterr().err
 
 
+def _handed_out(monkeypatch) -> dict:
+    """(depth, row, level) -> every census list `_tight` hands out for it,
+    its recursive calls included, from now on."""
+    handed = {}
+    real = lemmas._tight
+
+    def recording(adj, table, memo, d, r, h):
+        out = real(adj, table, memo, d, r, h)
+        handed.setdefault((d, r, h), []).append(out)
+        return out
+
+    monkeypatch.setattr(lemmas, "_tight", recording)
+    return handed
+
+
+def test_the_levels_of_one_member_share_its_lists(monkeypatch):
+    # every level of every lemma on one member object reads one list per
+    # depth, row and level, built the first time it is asked
+    handed = _handed_out(monkeypatch)
+    hl = hypercube(4)
+    for k, check in CHECKS.items():
+        for h in range(hl.n + 1 - SLACK[k]):
+            check(hl, h)
+    assert max(map(len, handed.values())) > 1
+    assert all(out is outs[0] for outs in handed.values() for out in outs)
+
+
+def test_an_equal_member_builds_its_own_lists(monkeypatch):
+    # a member is held by identity: an equal but distinct one starts afresh
+    handed = _handed_out(monkeypatch)
+    a, b = hypercube(4), hypercube(4)
+    assert a == b and a is not b
+    for hl in (a, b):
+        for h in range(hl.n):
+            check_lemma_37(hl, h)
+    assert all(len({id(out) for out in outs}) == 2
+               for outs in handed.values())
+
+
 # tight counts of the census past the brute force's reach
 CENSUS = {
     ("Q6", LEMMA_32): [64, 192, 240, 160, 60, 12, 1],

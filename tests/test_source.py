@@ -3,7 +3,8 @@ is used in that module, every public method of a package class and every
 public module-level function is used by package code, no private function
 has a parameter that every package call sets to the same literal, only
 `cli.main` catches IncompleteSearchError, only `graph.read_text` and
-`graph.write_text` open files, and every `open` names its encoding.
+`graph.write_text` open files, every `open` names its encoding, and no
+function but `cuts._table` is cached.
 `__init__.py` only re-exports, and `__future__` imports are
 directives, so both are exempt from the import check."""
 
@@ -171,6 +172,23 @@ def test_only_the_cli_catches_an_incomplete_search():
                         and "IncompleteSearchError" in ast.unparse(node.type):
                     caught.append(f"{path.name}:{node.lineno}")
     assert not caught, f"IncompleteSearchError caught at: {caught}"
+
+
+def test_no_cache_but_the_induction_table():
+    # a cache keeps every graph it was asked about for the life of the
+    # process, and answers a repeated job without the work; only the
+    # induction table, which depends on n alone, is cached
+    cached = []
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) == ("cuts.py",
+                                                           "_table"):
+                continue
+            for node in ast.walk(top):
+                if getattr(node, "id", getattr(node, "attr", None)) in (
+                        "cache", "lru_cache"):
+                    cached.append(f"{path.name}:{node.lineno}")
+    assert not cached, f"functools caches outside cuts._table: {cached}"
 
 
 def test_every_open_names_its_encoding():
