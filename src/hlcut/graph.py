@@ -16,9 +16,9 @@ from .errors import UsageError
 Edge = tuple[int, int]
 
 # Construction, the cut search and the lemma checks (which read the
-# induction table, not subsets) go up to order 2^10; kappa's subset scan is
-# capped much lower: it decides all 2^order - order - 1 removable sets, and
-# its pruning makes order 32 quick, not order 64.
+# induction table, not subsets) go up to order 2^10; kappa's search over
+# smallest components is capped much lower: it decides all 2^order - order
+# - 1 removable sets, and its pruning makes order 32 quick, not order 64.
 MAX_ORDER = 1 << 10
 SOLVER_GATE = 32
 

@@ -11,14 +11,15 @@ minimum induced degree >= h:
 and T3.8 is the solver-vs-formula equality check. Every check answers one
 level h, like the solvers, and reads the induction table of `cuts._table`
 in the labels of the member's trace, where every block T is the join of
-its aligned halves L and R by a perfect matching M. The table is a chain
-of lower bounds, one merge per depth, from single vertices up: the size
-row s for L3.2, lam (row 0) for L3.7 and g_1 for L3.5, each reading g_k
-one row further down. Its top entry at or above the bound proves the
-level for every member of dimension n. Where the entry equals the bound,
-every set meeting the bound meets each step of the chain with equality,
-so the tight sets are built block by block, with no search. Let E_k(T, h)
-be the nonempty X in T with minimum degree h attaining t_k(T, h) =
+its aligned halves L and R by a perfect matching M (Vaidya, Rao & Shankar,
+IPPS 1993), so a depth-d block is d-regular. The table is a chain of
+lower bounds, one merge per depth, from single vertices up: the size row
+s for L3.2, lam (row 0) for L3.7 and g_1 for L3.5, each reading g_k one
+row further down. Its top entry at or above the bound proves the level
+for every member of dimension n. Where the entry equals the bound, every
+set meeting the bound meets each step of the chain with equality, so the
+tight sets are built block by block, with no search. Let E_k(T, h) be the
+nonempty X in T with minimum degree h attaining t_k(T, h) =
 min k|X| + |boundary of X in T| (for k = 0 also with a nonempty
 complement that keeps degree h; E_0 holds both sides of each cut), and
 h' = max(h-1, 0).
@@ -30,8 +31,8 @@ h' = max(h-1, 0).
   partner keeps every vertex at degree h.
 - Case B, where t_{k+1}(., h) is the entry: X lies in one half and each of
   its vertices also loses its matching edge, so X is in E_{k+1}(L, h) or
-  E_{k+1}(R, h). For k = 0 that is one side of the cut; the other side
-  must keep degree h too, and both are listed.
+  E_{k+1}(R, h). For k = 0 that is one side of the cut, and both it and
+  T - X are listed: T - X keeps degree h by the lemma below, untested.
 - L3.2's size row s counts no edges. Its case B, where s(., h) is the
   entry, takes S(L, h) and S(R, h); its case A, where 2 s(., h-1) is,
   takes unions of X_L in S(L, h-1) and X_R in S(R, h-1) that keep degree
@@ -46,6 +47,17 @@ other entry is infinite and its list empty. A set from either case attains
 the entry, so an entry that is not attained gives an empty list, never a
 wrong one.
 
+Lemma: for k >= 1, no vertex of T outside a listed X in E_k(T, h) has two
+neighbours in X. By induction on the depth: a single vertex has no outside
+vertex. In case B, X lies in one half; an outside vertex of that half has
+at most one neighbour in X, and one of the other half has only its
+partner across. In case A, a vertex v of L - X_L has at most one
+neighbour in X_L, and its one neighbour in R, M(v), is not in M(X_L) as v
+is not in X_L; R likewise. So where row 0's case B lists X from E_1 of a
+half of a depth-d block, every vertex of T - X keeps at least d - 1 of
+its d neighbours in T, and h <= d - 1 since X has minimum degree h in its
+(d-1)-regular half.
+
 The lists are built per depth, one loop over every block of that depth,
 and the levels asked of one member object share them. In case A of E_0,
 which holds both sides of each cut, only the X_L without the block's
@@ -57,10 +69,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .build import HlGraph
+from .build import HlGraph, realize
 from .cuts import _INF, _table, lambda_sh_exact
 from .errors import UsageError
-from .graph import keeps_degree
 
 LEMMA_32 = "L3.2"
 LEMMA_35 = "L3.5"
@@ -151,38 +162,12 @@ def _tight(adj, table, memo, d: int, r: int, h: int) -> list[set[int]]:
                             sets.add(x | y)
                             sets.add((left ^ x) | (right ^ y))
         if parts is not None:
-            if r:
-                sets.update(parts[2 * i], parts[2 * i + 1])
-            else:
-                block = left | right
-                for x in (*parts[2 * i], *parts[2 * i + 1]):
-                    # each vertex has d > h neighbours in the block, so
-                    # only the neighbours of X can leave the rest below h
-                    rest = block ^ x
-                    if keeps_degree(adj, _reach(adj, x, rest), rest, h):
-                        sets.update((x, rest))
+            xs = parts[2 * i] | parts[2 * i + 1]
+            sets |= xs
+            if not r:  # the rest keeps degree h: both sides of each cut
+                sets.update((left | right) ^ x for x in xs)
         out.append(sets)
     return out
-
-
-def _canonical_adj(hl: HlGraph) -> tuple[int, ...]:
-    """hl's adjacency in the labels of its trace, where `relabel` maps
-    each one to the graph's own: the graph's own adjacency where those
-    labels are the trace's, as for every member built from a trace."""
-    if hl.relabel == tuple(range(len(hl.relabel))):
-        return hl.graph.adj
-    back = [0] * len(hl.relabel)
-    for c, p in enumerate(hl.relabel):
-        back[p] = c
-    out = []
-    for p in hl.relabel:
-        mask, t = 0, hl.graph.adj[p]
-        while t:
-            b = t & -t
-            mask |= 1 << back[b.bit_length() - 1]
-            t ^= b
-        out.append(mask)
-    return tuple(out)
 
 
 def _verdict(hl: HlGraph, lemma: str, row: int, h: int,
@@ -198,8 +183,9 @@ def _verdict(hl: HlGraph, lemma: str, row: int, h: int,
                              f"{entry}, below the bound {bound}")
     tight = 0
     if entry == bound:
-        if _held[0] is not hl:
-            _held[:] = hl, _canonical_adj(hl), {}
+        if _held[0] is not hl:  # in the labels `realize` gives the trace
+            same = hl.relabel == tuple(range(len(hl.relabel)))
+            _held[:] = hl, hl.graph.adj if same else realize(hl.trace).adj, {}
         tight = len(_census(_held[1], hl.n, row, h))
     return LemmaVerdict(lemma, hl.label, h, True, None,
                         hl.graph.vertex_mask, tight)

@@ -6,7 +6,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hlcut import (FIG1_TRACE, LEMMA_32, LEMMA_35, LEMMA_37, THEOREM,
                    UsageError, block_vertices, check_lemma_32, check_lemma_35,
@@ -286,6 +286,36 @@ def test_table_below_the_bound_is_an_internal_error(q4, tmp_path, capsys,
     assert "internal error: AssertionError" in capsys.readouterr().err
 
 
+@settings(max_examples=20, deadline=None)
+@given(hl_traces(max_n=6))
+@example(hypercube(7))
+@example(random_hl(7, 1))
+def test_census_lists_keep_the_lemma(hl):
+    # every list `_tight` builds for rows 0 and 1, block by block: for rows
+    # >= 1 no block vertex outside a listed X has two neighbours in X (the
+    # lemma of the `lemmas.py` docstring, on which row 0's case B relies
+    # untested), and row 0 holds both sides of each cut, each keeping
+    # degree h
+    adj, memo = hl.graph.adj, {}  # a trace's member is in its labels
+    for h in range(hl.n + 1):
+        for row in (0, 1):
+            lemmas._tight(adj, cuts._table(hl.n), memo, hl.n, row, h)
+    for (d, row, h), lists in memo.items():
+        for i, sets in enumerate(lists):
+            block = ((1 << (1 << d)) - 1) << (i << d)
+            for x in sets:
+                rest = block ^ x
+                outside = [v for v in range(hl.graph.order) if rest >> v & 1]
+                if row:
+                    assert all((adj[v] & x).bit_count() <= 1 for v in outside)
+                else:
+                    assert rest in sets and outside
+                    assert all((adj[v] & rest).bit_count() >= h
+                               for v in outside)
+                    assert all((adj[v] & x).bit_count() >= h
+                               for v in range(hl.graph.order) if x >> v & 1)
+
+
 def _handed_out(monkeypatch) -> dict:
     """(depth, row, level) -> every census list `_tight` hands out for it,
     its recursive calls included, from now on."""
@@ -333,13 +363,18 @@ CENSUS = {
     ("Q8", LEMMA_32): [256, 1024, 1792, 1792, 1120, 448, 112, 16, 1],
     ("Q8", LEMMA_37): [512, 2048, 3584, 3584, 2240, 896, 240, 16],
     ("HL6[seed=1]", LEMMA_37): [128, 384, 178, 20, 10, 2],
+    # random members, where row 0's case B lists the most cuts
+    ("HL8[seed=1]", LEMMA_37): [512, 2048, 886, 68, 32, 16, 10, 2],
+    ("HL10[seed=1]", LEMMA_37):
+        [2048, 10240, 3454, 300, 128, 64, 32, 16, 10, 2],
 }
 
 
 @pytest.mark.parametrize("graph,lemma", sorted(CENSUS))
 def test_census_counts_are_pinned(graph, lemma):
     hl = {"Q6": hypercube(6), "Q7": hypercube(7), "Q8": hypercube(8),
-          "HL6[seed=1]": random_hl(6, 1)}[graph]
+          "HL6[seed=1]": random_hl(6, 1), "HL8[seed=1]": random_hl(8, 1),
+          "HL10[seed=1]": random_hl(10, 1)}[graph]
     verdicts = [CHECKS[lemma](hl, h) for h in range(hl.n + 1 - SLACK[lemma])]
     assert all(v.holds and v.subsets_checked == 2 ** (1 << hl.n) - 1
                for v in verdicts)
