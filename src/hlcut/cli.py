@@ -17,6 +17,7 @@ from .build import (fig1_graph, from_trace, hypercube, random_hl, read_trace,
 from .cuts import lambda_sh_exact
 from .errors import IncompleteSearchError, UsageError
 from .graph import Graph, read_graph, vertex_list, write_graph
+from .induction import Census
 from .kappa import kappa_sh_exact
 from .lemmas import (LemmaVerdict, check_lemma_32, check_lemma_35,
                      check_lemma_37, check_theorem)
@@ -117,9 +118,10 @@ def cmd_verify(args) -> int:
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
+    census = Census(hl)  # the tight sets, shared by this job's levels
     verdicts: list[LemmaVerdict] = []
     for h in levels:
-        v = checker(hl, h)
+        v = checker(hl, h, census)
         verdicts.append(v)
         status = "holds" if v.holds else "FAILS"
         extra = ""

@@ -23,39 +23,20 @@ side, to a fixpoint, and a vertex left with fewer than h fails the branch. A
 forced move drops only completions in which some vertex ends below degree
 h, so the result and its witness are exact (see `_branch_and_bound`).
 
-The search's lower bound follows the paper's induction on n. In the labels
-`realize` gives it, a member is the join of its aligned label halves L and
-R by a perfect matching, and so is every aligned block below it, down to
-single vertices. Over these blocks a table bounds the value from below,
-from the member's own subgraphs alone and never from the paper's lemmas,
-which would make the check of its theorem circular: lam(T, h), the
-minimum cut of block T at level h, and g_k(T, h), the minimum of k|X| +
-|boundary of X in T| over nonempty X in T with minimum degree h. A cut
-whose sides both meet both halves cuts L and R into sides that keep
-minimum degree h' = max(h-1, 0), since each vertex loses only its matching
-partner. Any other cut has a side X inside one half, and each vertex of X
-also loses its matching edge, which g_1 of that half counts. So
-
-    lam(T, h) >= min(lam(L, h') + lam(R, h'), g_1(L, h), g_1(R, h)),
-    g_k(T, h) >= min(g_k(L, h') + g_k(R, h'), g_{k+1}(L, h), g_{k+1}(R, h)),
-
-with lam infinite, g_k(v, 0) = k and g_k(v, h > 0) infinite at a single
-vertex v. The recurrence reads no matching and every vertex starts from the
-same rows, so all blocks of one depth share one table, which depends on n
-alone (`_table`). The aligned block {0..2^h-1} bounds the value from above.
+The search's lower bound is the paper's induction on n (see `induction`):
+where `dimension` finds the aligned blocks split, the table's top lam entry
+bounds the value from below, and the aligned block {0..2^h-1} from above.
 Where the table is infinite, there is no cut. Otherwise one search of the
 whole graph runs below the block's cut + 1, or below every edge + 1 without
 a block, and stops at the table's bound, or at 1 on a graph whose blocks do
 not split. It decides the highest vertex first, so the first side it finds
 at the minimum is the lexicographically smallest; where the two bounds
 meet, as on every member in the labels `realize` gives, that first side
-ends the search. A budget starts at the search's root, after the table and
-the block.
+ends the search.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import NamedTuple
 
@@ -63,11 +44,9 @@ from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
 from .graph import (Edge, Graph, canonical_edge, connected_within,
                     keeps_degree)
+from .induction import INF, dimension, table
 
 _TIME_CHECK_INTERVAL = 4096
-# the induction table's infinity, above every entry a graph of order up to
-# graph.MAX_ORDER can reach
-_INF = 1 << 62
 
 
 class CutReport(NamedTuple):
@@ -311,50 +290,13 @@ def _branch_and_bound(adj, h, limit, floor, budget, best_side):
     return best, best_side, examined
 
 
-@functools.cache
-def _table(n):
-    """The induction table of dimension n (see the module docstring), per
-    depth d = 0..n: rows k = 0..n+1-d over levels 0..n, then the size row
-    s, the fewest vertices of minimum degree h: s(v, 0) = 1 and
-    s(T, h) = min(2 s(., h'), s(., h))."""
-    rows = [[k or _INF] + [_INF] * n for k in range(n + 2)] \
-        + [[1] + [_INF] * n]
-    tables = [rows]
-    for _ in range(n):
-        rows = [[min(2 * p, u, _INF) for p, u in zip(row[:1] + row[:-1], up)]
-                for row, up in zip(rows[:-2] + rows[-1:], rows[1:])]
-        tables.append(rows)
-    return tables
-
-
-def _bound(adj, h):
-    """The induction table's lower bound on the level-h cut of `adj` (see
-    the module docstring): _INF when it rules out every cut, and None when
-    there is no table, because the order is no power of two or a vertex
-    has other than one neighbour in the other half of some aligned block.
-    `realize` labels every member so that it has a table, so a member's
-    graph file needs no trace."""
-    order = len(adj)
-    n = order.bit_length() - 1
-    if order != 1 << n:
-        return None
-    half = 1
-    while half < order:
-        lo = (1 << half) - 1
-        if any((a >> ((v ^ half) & -half) & lo).bit_count() != 1
-               for v, a in enumerate(adj)):
-            return None
-        half <<= 1
-    return _table(n)[n][0][h] if h <= n else _INF
-
-
 def lambda_sh_exact(g: Graph, h: int,
                     budget: float | None = None) -> CutReport:
     """Exact minimum size of an edge cut leaving both sides at minimum degree
     >= h, with a witness side; value None when there is no such cut.
 
-    The induction table (`_bound`) bounds the value from below and the
-    aligned block {0..2^h-1}, where both it and the rest keep degree h,
+    The induction table (`induction.table`) bounds the value from below and
+    the aligned block {0..2^h-1}, where both it and the rest keep degree h,
     from above; one branch-and-bound search between the two finds the value
     and the lexicographically smallest witness side (see the module
     docstring). A budget (seconds), counted from the search's root, turns
@@ -368,15 +310,17 @@ def lambda_sh_exact(g: Graph, h: int,
                          f"got {budget}")
     adj, order, full = g.adj, g.order, g.vertex_mask
     # a table implies a connected, n-regular graph, where h > n leaves the
-    # table infinite; the empty graph has none
-    floor = _bound(adj, h) if order else None
-    if floor is None:
-        if not g.is_connected():
-            raise UsageError("minimum-cut search requires a connected graph")
+    # table infinite
+    n = dimension(adj)
+    if n is not None:
+        floor = table(n)[n][0][h] if h <= n else INF
+    elif not g.is_connected():
+        raise UsageError("minimum-cut search requires a connected graph")
+    else:
         # a vertex of degree < h can never keep degree h on either side,
         # and a connected graph has no cut below 1
-        floor = 1 if order > 1 and keeps_degree(adj, full, full, h) else _INF
-    if floor == _INF:
+        floor = 1 if order > 1 and keeps_degree(adj, full, full, h) else INF
+    if floor == INF:
         return CutReport(h, None, None, None, 0)
     value = side = None
     k = 1 << h

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hlcut import (fig1_graph, graph_to_text, hypercube, is_h_edge_cut,
                    mask_of, random_hl, read_graph, read_trace, realize,
                    trace_to_text, write_graph)
-from hlcut import cli, cuts, kappa, lemmas
+from hlcut import cli, cuts, induction, kappa, lemmas
 from hlcut.cli import main
 from hlcut.graph import MAX_ORDER, Graph
 
@@ -289,8 +289,8 @@ def test_solve_interrupt_exits_3_and_keeps_the_rows(tmp_path, capsys,
 def test_verify_lemma_interrupt_exits_3(q4_trace, tmp_path, capsys,
                                         monkeypatch, lemma):
     # Ctrl-C as the first level's census starts
-    monkeypatch.setattr(lemmas, "_census",
-                        _interrupted_after(0, lemmas._census))
+    monkeypatch.setattr(induction.Census, "count",
+                        _interrupted_after(0, induction.Census.count))
     out = tmp_path / "verdicts.jsonl"
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
                "--out", out) == 3
@@ -306,8 +306,8 @@ def test_verify_lemma_interrupt_keeps_the_rows(q4_trace, tmp_path, capsys,
                                               monkeypatch, lemma, tight):
     # Ctrl-C as the level-2 census starts, after levels 0 and 1 have
     # finished
-    monkeypatch.setattr(lemmas, "_census",
-                        _interrupted_after(2, lemmas._census))
+    monkeypatch.setattr(induction.Census, "count",
+                        _interrupted_after(2, induction.Census.count))
     out = tmp_path / "verdicts.jsonl"
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h", "all",
                "--out", out) == 3
@@ -435,7 +435,7 @@ def test_verify_takes_no_search_flags(q4_trace, capsys, lemma, flag):
 
 def test_verify_failing_verdict_exits_1_with_the_counterexample(
         q4_trace, tmp_path, capsys, monkeypatch):
-    def failing(hl, h):
+    def failing(hl, h, census):
         return lemmas.LemmaVerdict(lemmas.LEMMA_32, hl.label, h, False,
                                    0b11, 7, 0)
 
@@ -477,20 +477,23 @@ def test_scans_take_no_override_flag(q4_trace, fig1_file, command):
 @pytest.mark.parametrize("lemma", ["3.2", "3.5", "3.7"])
 def test_verify_lemma_reads_one_census_per_level(q4_trace, capsys,
                                                  monkeypatch, lemma):
-    # every level reports all 65 535 subsets decided, from one census of
-    # the table's tight sets at that level and no subset search
-    levels = []
-    real = lemmas._census
+    # every level reports all 65 535 subsets decided, from one count of
+    # the table's tight sets at that level and no subset search, all by
+    # the one census of the job
+    levels, owners = [], []
+    real = induction.Census.count
 
-    def counting(adj, n, row, h):
+    def counting(census, row, h):
         levels.append(h)
-        return real(adj, n, row, h)
+        owners.append(census)
+        return real(census, row, h)
 
-    monkeypatch.setattr(lemmas, "_census", counting)
+    monkeypatch.setattr(induction.Census, "count", counting)
     assert run("verify", "--lemma", lemma, "--trace", q4_trace, "--h",
                "all") == 0
     rows = capsys.readouterr().out.splitlines()
     assert levels == list(range(5 if lemma == "3.2" else 4))
+    assert all(census is owners[0] for census in owners)
     assert len(rows) == len(levels)
     assert all("holds (subsets=65535," in row for row in rows)
 

@@ -17,6 +17,7 @@ from hlcut import cuts
 from hlcut.build import MAX_DIMENSION
 from hlcut.cli import main
 from hlcut.graph import Graph
+from hlcut.induction import INF, dimension, table
 
 from conftest import (hl_members, random_simple_graph, reference_min_cut,
                       reference_min_cuts,
@@ -321,6 +322,19 @@ def test_lambda_decisions_are_pinned(member):
 
 # -- the induction table ---------------------------------------------------------
 
+def _bound(adj, h):
+    """The induction table's lower bound on the level-h cut of `adj`, as
+    `lambda_sh_exact` reads it: INF when it rules out every cut, and None
+    when the graph's aligned blocks do not split."""
+    n = dimension(adj)
+    return None if n is None else table(n)[n][0][h] if h <= n else INF
+
+
+def _lowered(n):
+    """The induction table of dimension n with every entry one lower."""
+    return [[[e - 1 for e in row] for row in rows] for rows in table(n)]
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_member_files_split(tmp_path, n):
     # `realize` labels every member so that each aligned block is the join
@@ -330,17 +344,17 @@ def test_member_files_split(tmp_path, n):
         path = tmp_path / f"{hl.label}.graph"
         write_graph(path, hl.graph)
         adj = read_graph(path).adj
-        assert [cuts._bound(adj, h) for h in range(n + 1)] == \
-            [(1 << h) * (n - h) for h in range(n)] + [cuts._INF]
+        assert [_bound(adj, h) for h in range(n + 1)] == \
+            [(1 << h) * (n - h) for h in range(n)] + [INF]
 
 
 def test_public_labels_of_fig1_do_not_split(q4, fig1):
     # every order has a table once its blocks split, down to single
     # vertices: Q4 and the canonical labels of fig1's trace do, and fig1's
     # public numbering does not
-    assert cuts._bound(q4.graph.adj, 2) == 8
-    assert cuts._bound(realize(fig1.trace).adj, 2) == 8
-    assert cuts._bound(fig1.graph.adj, 2) is None
+    assert _bound(q4.graph.adj, 2) == 8
+    assert _bound(realize(fig1.trace).adj, 2) == 8
+    assert _bound(fig1.graph.adj, 2) is None
 
 
 def _unsplit_joins() -> list[Graph]:
@@ -361,7 +375,7 @@ def test_graphs_that_do_not_split_keep_the_whole_search():
     for g in _unsplit_joins():
         assert g.is_connected()
         for h in range(3):
-            assert cuts._bound(g.adj, h) is None
+            assert _bound(g.adj, h) is None
             report = lambda_sh_exact(g, h)
             assert (report.value, report.witness_side) == _plain(g, h)[:2]
             assert report.subsets_examined > 0
@@ -410,9 +424,9 @@ def test_table_is_a_lower_bound(hl):
     g = hl.graph
     expected = reference_min_cuts(g.order, g.edges())
     for h in range(hl.n + 1):
-        bound = cuts._bound(g.adj, h)
+        bound = _bound(g.adj, h)
         value = expected[h][0]
-        if bound == cuts._INF:
+        if bound == INF:
             assert value is None
         else:
             assert value is not None and bound <= value
@@ -426,8 +440,8 @@ def test_table_is_tight_on_members(n):
     # these labels up to the construction cap
     seeds = (1, 2, 3) if n <= 8 else ()
     for hl in [hypercube(n)] + [random_hl(n, s) for s in seeds]:
-        assert [cuts._bound(hl.graph.adj, h) for h in range(n + 1)] == \
-            [(1 << h) * (n - h) for h in range(n)] + [cuts._INF]
+        assert [_bound(hl.graph.adj, h) for h in range(n + 1)] == \
+            [(1 << h) * (n - h) for h in range(n)] + [INF]
 
 
 @pytest.mark.parametrize("patch", ["one lower", "no table"])
@@ -441,9 +455,10 @@ def test_fallback_search_runs_where_the_table_falls_short(monkeypatch, build,
     # value and witness side
     g = build().graph
     expected = [lambda_sh_exact(g, h) for h in range(7)]
-    bound = cuts._bound
-    monkeypatch.setattr(cuts, "_bound", lambda adj, h: bound(adj, h) - 1
-                        if patch == "one lower" else None)
+    if patch == "one lower":
+        monkeypatch.setattr(cuts, "table", _lowered)
+    else:
+        monkeypatch.setattr(cuts, "dimension", lambda adj: None)
     for h, before in enumerate(expected):
         report = lambda_sh_exact(g, h)
         assert report.subsets_examined > 0
@@ -511,7 +526,7 @@ def test_members_in_other_labels_meet_the_closed_form(seed):
         g = relabelled(hl.graph, seed)
         found = []
         for h in range(6):
-            assert cuts._bound(g.adj, h) is None
+            assert _bound(g.adj, h) is None
             report = lambda_sh_exact(g, h)
             found.append((report.value, report.witness_side,
                           report.subsets_examined))
@@ -851,7 +866,7 @@ def test_budget_exhaustion_raises_incomplete():
     # h=3 runs far past the 0.02 s budget, which expires at the first
     # deadline check at node 4096 or at a later one
     g = _hl7()
-    assert cuts._bound(g.adj, 3) is None
+    assert _bound(g.adj, 3) is None
     with pytest.raises(IncompleteSearchError) as err:
         lambda_sh_exact(g, 3, budget=0.02)
     assert err.value.budget == 0.02
@@ -912,8 +927,7 @@ def test_interrupt_in_the_fallback_hands_back_the_seeded_block(monkeypatch):
     # Ctrl-C at the first forced-move closure of the search, with the
     # table's bound one short of the seeded block: the search has no leaf
     # yet, so the seeded block's complement comes back
-    bound = cuts._bound
-    monkeypatch.setattr(cuts, "_bound", lambda adj, h: bound(adj, h) - 1)
+    monkeypatch.setattr(cuts, "table", _lowered)
 
     def interrupted(*args):
         raise KeyboardInterrupt

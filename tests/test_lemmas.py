@@ -13,9 +13,10 @@ from hlcut import (FIG1_TRACE, LEMMA_32, LEMMA_35, LEMMA_37, THEOREM,
                    check_lemma_37, check_theorem, cli, fig1_graph, from_trace,
                    hypercube, lambda_sh_exact, mask_of, random_hl, realize,
                    write_trace)
-from hlcut import cuts, lemmas
+from hlcut import induction, lemmas
 from hlcut.build import MAX_DIMENSION
 from hlcut.graph import Graph
+from hlcut.induction import INF, Census
 
 from conftest import (hl_traces, reference_adjacency, reference_boundary_size,
                       reference_induced_min_degree,
@@ -257,7 +258,7 @@ def test_table_meets_every_bound(n):
     # alone: they equal each bound at every level up to the construction
     # cap, so no member meets the AssertionError and every level has tight
     # sets
-    top = cuts._table(n)[n]
+    top = induction.table(n)[n]
     for h in range(n + 1):
         bounds = _bounds(n, h)
         assert top[-1][h] == bounds[LEMMA_32]
@@ -266,16 +267,44 @@ def test_table_meets_every_bound(n):
             assert top[0][h] == bounds[LEMMA_37]
 
 
+def test_table_has_a_closed_form():
+    """lam(d, h) = 2^h(d-h) for h <= d-1, g_k(d, h) = 2^h(d+k-h) for k >= 1
+    and h <= d, s(d, h) = 2^h for h <= d, and INF elsewhere, by induction
+    on the depth d. At d = 0 these are the starting rows. For d >= 1 each
+    entry is the smaller of case A, twice the entry at level h' =
+    max(h-1, 0) one depth down, and case B, the entry of the next row
+    (lam reads g_1, the size row itself) at level h one depth down:
+    - for 1 <= h <= d-1 both are 2^h(d+k-h), with k = 0 for lam, and both
+      2^h for s;
+    - at h = d case B is INF and case A gives 2^d k for g_k and 2^d for s,
+      and INF for lam, whose entry at level d-1 one depth down is INF;
+    - at h = 0 case B gives d + k, and case A, 2(d-1+k), is no smaller
+      when d + k >= 2, and INF for lam at d = 1; s(d, 0) = min(2, 1);
+    - above d both cases are INF.
+    Depth d has rows k = 0..n+1-d and the size row, n + 3 - d in all."""
+    build = induction.table.__wrapped__  # leaves the cache empty
+    for n in range(41):
+        tables = build(n)
+        assert len(tables) == n + 1
+        levels = range(n + 1)
+        for d, rows in enumerate(tables):
+            lam = [(1 << h) * (d - h) if h < d else INF for h in levels]
+            g = [[(1 << h) * (d + k - h) if h <= d else INF for h in levels]
+                 for k in range(1, n + 2 - d)]
+            size = [1 << h if h <= d else INF for h in levels]
+            assert rows == [lam, *g, size]
+
+
 def test_table_below_the_bound_is_an_internal_error(q4, tmp_path, capsys,
                                                      monkeypatch):
     # an entry below the bound proves nothing, so it is a bug (exit 4),
     # never a FAILS verdict (exit 1)
     def lowered(n):
-        tables = [[list(row) for row in rows] for rows in cuts._table(n)]
+        tables = [[list(row) for row in rows] for rows in induction.table(n)]
         tables[n][0][2] -= 1
         return tables
 
-    monkeypatch.setattr(lemmas, "_table", lowered)
+    monkeypatch.setattr(lemmas, "table", lowered)
     with pytest.raises(AssertionError, match="L3.7 at h=2"):
         check_lemma_37(q4, 2)
     assert check_lemma_37(q4, 1).holds
@@ -293,14 +322,15 @@ def test_table_below_the_bound_is_an_internal_error(q4, tmp_path, capsys,
 def test_census_lists_keep_the_lemma(hl):
     # every list `_tight` builds for rows 0 and 1, block by block: for rows
     # >= 1 no block vertex outside a listed X has two neighbours in X (the
-    # lemma of the `lemmas.py` docstring, on which row 0's case B relies
+    # lemma of the `induction.py` docstring, on which row 0's case B relies
     # untested), and row 0 holds both sides of each cut, each keeping
     # degree h
-    adj, memo = hl.graph.adj, {}  # a trace's member is in its labels
+    census = Census(hl)
+    adj = census.adj
     for h in range(hl.n + 1):
         for row in (0, 1):
-            lemmas._tight(adj, cuts._table(hl.n), memo, hl.n, row, h)
-    for (d, row, h), lists in memo.items():
+            census._tight(hl.n, row, h)
+    for (d, row, h), lists in census.lists.items():
         for i, sets in enumerate(lists):
             block = ((1 << (1 << d)) - 1) << (i << d)
             for x in sets:
@@ -317,42 +347,74 @@ def test_census_lists_keep_the_lemma(hl):
 
 
 def _handed_out(monkeypatch) -> dict:
-    """(depth, row, level) -> every census list `_tight` hands out for it,
-    its recursive calls included, from now on."""
+    """(census, depth, row, level) -> every census list `_tight` hands out
+    for it, its recursive calls included, from now on."""
     handed = {}
-    real = lemmas._tight
+    real = Census._tight
 
-    def recording(adj, table, memo, d, r, h):
-        out = real(adj, table, memo, d, r, h)
-        handed.setdefault((d, r, h), []).append(out)
+    def recording(census, d, r, h):
+        out = real(census, d, r, h)
+        handed.setdefault((census, d, r, h), []).append(out)
         return out
 
-    monkeypatch.setattr(lemmas, "_tight", recording)
+    monkeypatch.setattr(Census, "_tight", recording)
     return handed
 
 
 def test_the_levels_of_one_member_share_its_lists(monkeypatch):
-    # every level of every lemma on one member object reads one list per
-    # depth, row and level, built the first time it is asked
+    # every level of a lemma, asked in ascending order of one census,
+    # reads one list per depth, row and level, built the first time it is
+    # asked: a list is dropped only once no higher level reads it
     handed = _handed_out(monkeypatch)
     hl = hypercube(4)
     for k, check in CHECKS.items():
+        census = Census(hl)
         for h in range(hl.n + 1 - SLACK[k]):
-            check(hl, h)
+            check(hl, h, census)
     assert max(map(len, handed.values())) > 1
     assert all(out is outs[0] for outs in handed.values() for out in outs)
 
 
-def test_an_equal_member_builds_its_own_lists(monkeypatch):
-    # a member is held by identity: an equal but distinct one starts afresh
-    handed = _handed_out(monkeypatch)
-    a, b = hypercube(4), hypercube(4)
-    assert a == b and a is not b
-    for hl in (a, b):
-        for h in range(hl.n):
-            check_lemma_37(hl, h)
-    assert all(len({id(out) for out in outs}) == 2
-               for outs in handed.values())
+@pytest.mark.parametrize("build", [
+    lambda: hypercube(6), lambda: random_hl(6, 1), lambda: random_hl(7, 2),
+    fig1_graph], ids=["Q6", "HL6-1", "HL7-2", "fig1"])
+@pytest.mark.parametrize("row", [-1, 0, 1])
+def test_census_drops_the_lists_no_higher_level_reads(build, row):
+    # after each level H of an ascending sweep the census holds no top list
+    # and no list (d, r, h) with h <= H - (n - d); the counts are the same
+    # whether the levels are asked ascending or descending of one census,
+    # or each of a fresh one
+    hl = build()
+    n = hl.n
+    levels = range(n + 1 if row < 0 else n)
+    ascending, counts = Census(hl), []
+    for top in levels:
+        counts.append(ascending.count(row, top))
+        assert all(d < n and h > top - (n - d) for d, _, h in ascending.lists)
+    descending = Census(hl)
+    assert [descending.count(row, h) for h in reversed(levels)] == \
+        counts[::-1]
+    assert [Census(hl).count(row, h) for h in levels] == counts
+
+
+def test_an_interrupted_census_keeps_no_partial_list(monkeypatch):
+    # Ctrl-C in the middle of a list leaves only whole lists behind, so a
+    # census asked again after it still counts right
+    hl = hypercube(6)
+    census, real, calls = Census(hl), Census._reach, []
+
+    def interrupted(self, x, within):
+        calls.append(x)
+        if len(calls) == 200:
+            raise KeyboardInterrupt
+        return real(self, x, within)
+
+    monkeypatch.setattr(Census, "_reach", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        census.count(0, 2)
+    assert len(calls) == 200
+    monkeypatch.setattr(Census, "_reach", real)
+    assert census.count(0, 2) == Census(hl).count(0, 2) == 480
 
 
 # tight counts of the census past the brute force's reach

@@ -3,14 +3,16 @@ is used in that module, every public method of a package class and every
 public module-level function is used by package code, no private function
 has a parameter that every package call sets to the same literal, only
 `cli.main` catches IncompleteSearchError, only `graph.read_text` and
-`graph.write_text` open files, every `open` names its encoding, and no
-function but `cuts._table` is cached.
+`graph.write_text` open files, every `open` names its encoding, no
+function but `induction.table` is cached, and no package module holds a
+list, dict or set but the CLI's two tables.
 `__init__.py` only re-exports, and `__future__` imports are
 directives, so both are exempt from the import check."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -181,14 +183,34 @@ def test_no_cache_but_the_induction_table():
     cached = []
     for path in MODULES:
         for top in ast.parse(path.read_text()).body:
-            if (path.name, getattr(top, "name", None)) == ("cuts.py",
-                                                           "_table"):
+            if (path.name, getattr(top, "name", None)) == ("induction.py",
+                                                           "table"):
                 continue
             for node in ast.walk(top):
                 if getattr(node, "id", getattr(node, "attr", None)) in (
                         "cache", "lru_cache"):
                     cached.append(f"{path.name}:{node.lineno}")
-    assert not cached, f"functools caches outside cuts._table: {cached}"
+    assert not cached, f"functools caches outside induction.table: {cached}"
+
+
+# module-level containers the package keeps, each filled once at import
+# and never written after
+CONTAINERS = {("cli", "_LEMMA_CHECKS"), ("cli", "_COMMANDS")}
+
+
+def test_no_module_level_container_but_the_cli_tables():
+    # a module-level list, dict or set is state shared by every caller in
+    # the process, which one job can leave behind for the next; what a job
+    # builds belongs to an object that the job owns
+    held = []
+    for path in MODULES:
+        module = importlib.import_module(f"hlcut.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, (list, dict, set)) \
+                    and not name.startswith("__") \
+                    and (path.stem, name) not in CONTAINERS:
+                held.append(f"{path.stem}.{name}")
+    assert not held, f"module-level containers: {held}"
 
 
 def test_every_open_names_its_encoding():
