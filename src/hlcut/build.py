@@ -18,7 +18,7 @@ import json
 from typing import NamedTuple
 
 from .errors import TraceError, UsageError
-from .graph import Graph, MAX_ORDER, mask_of, read_text, write_text
+from .graph import Edge, Graph, MAX_ORDER, mask_of, read_text, write_text
 
 MASK64 = (1 << 64) - 1
 
@@ -188,6 +188,14 @@ def block_vertices(hl: HlGraph, h: int) -> int:
     if not 0 <= h <= hl.n:
         raise UsageError(f"block level {h} outside 0..{hl.n}")
     return mask_of(hl.relabel[i] for i in range(1 << h))
+
+
+def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
+    """The edge boundary of the embedded dimension-h block: 2^h * (n - h)
+    edges, and a valid h-cut for every member of the family."""
+    if not 0 <= h <= hl.n - 1:
+        raise UsageError(f"canonical cut level {h} outside 0..{hl.n - 1}")
+    return hl.graph.edge_boundary(block_vertices(hl, h))
 
 
 # -- the figure fixture -------------------------------------------------------

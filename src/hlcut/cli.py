@@ -118,7 +118,9 @@ def cmd_verify(args) -> int:
     hl = from_trace(trace, label=args.trace)
     checker, slack = _LEMMA_CHECKS[args.lemma]
     levels = _parse_h(args.h, hl.n - slack)
-    census = Census(hl)  # the tight sets, shared by this job's levels
+    # the tight sets, shared by this job's levels; from_trace keeps the
+    # trace's own labels, so its graph is aligned
+    census = Census(hl.graph.adj)
     verdicts: list[LemmaVerdict] = []
     for h in levels:
         v = checker(hl, h, census)

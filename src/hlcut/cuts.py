@@ -1,5 +1,5 @@
-"""Edge-fault tolerance proper: the degree-preserving cut predicate, the
-canonical block cut, and exact minimum-cut search.
+"""Edge-fault tolerance proper: the degree-preserving cut predicate and
+exact minimum-cut search.
 
 A minimum cut with both sides keeping minimum degree >= h is always the edge
 boundary of a single side X (dropping any further edges from a cut leaves a
@@ -40,7 +40,6 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .build import HlGraph, block_vertices
 from .errors import IncompleteSearchError, UsageError
 from .graph import (Edge, Graph, canonical_edge, connected_within,
                     keeps_degree)
@@ -79,14 +78,6 @@ def is_h_edge_cut(g: Graph, f, h: int) -> bool:
     full = g.vertex_mask
     return keeps_degree(adj, full, full, h) \
         and not connected_within(adj, full)
-
-
-def canonical_cut(hl: HlGraph, h: int) -> tuple[Edge, ...]:
-    """The edge boundary of the embedded dimension-h block: 2^h * (n - h)
-    edges, and a valid h-cut for every member of the family."""
-    if not 0 <= h <= hl.n - 1:
-        raise UsageError(f"canonical cut level {h} outside 0..{hl.n - 1}")
-    return hl.graph.edge_boundary(block_vertices(hl, h))
 
 
 # -- branch and bound ---------------------------------------------------------

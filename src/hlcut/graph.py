@@ -16,11 +16,9 @@ from .errors import UsageError
 Edge = tuple[int, int]
 
 # Construction, the cut search and the lemma checks (which read the
-# induction table, not subsets) go up to order 2^10; kappa's search over
-# smallest components is capped much lower: it decides all 2^order - order
-# - 1 removable sets, and its pruning makes order 32 quick, not order 64.
+# induction table, not subsets) go up to order 2^10; kappa has its own,
+# lower cap (see `kappa`).
 MAX_ORDER = 1 << 10
-SOLVER_GATE = 32
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -41,13 +39,6 @@ def vertex_list(mask: int | None) -> list[int] | None:
     if mask is None:
         return None
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
-def check_gate(order: int) -> None:
-    if order > SOLVER_GATE:
-        raise UsageError(
-            f"order {order} exceeds the subset-scan cap of {SOLVER_GATE} "
-            f"vertices: a scan past it does not finish")
 
 
 def keeps_degree(adj: tuple[int, ...] | list[int], vertices: int, within: int,

@@ -1,7 +1,7 @@
 """The paper's induction on n: the alignment test, the table of lower bounds
 it gives, and the census of the sets that meet them.
 
-In the labels `realize` gives it, a member is the join of its aligned label
+In the labels of its trace, a member is the join of its aligned label
 halves L and R by a perfect matching M (Vaidya, Rao & Shankar, IPPS 1993),
 and so is every aligned block below it, down to single vertices, so a
 depth-d block is d-regular (`dimension` tests this). Over these blocks a
@@ -72,8 +72,6 @@ from __future__ import annotations
 
 import functools
 
-from .build import HlGraph, realize
-
 INF = 1 << 62  # above every table entry up to order graph.MAX_ORDER
 
 
@@ -95,7 +93,7 @@ def dimension(adj) -> int | None:
     """n when the graph has order 2^n and every vertex has exactly one
     neighbour in the other half of each aligned block, so that the table
     of dimension n bounds it; None otherwise. Every member is so in the
-    labels `realize` gives, so its graph file needs no trace."""
+    labels of its trace, so its graph file needs no trace."""
     order = len(adj)
     if not order or order & (order - 1):
         return None
@@ -110,14 +108,14 @@ def dimension(adj) -> int | None:
 
 
 class Census:
-    """The tight sets of one member, in the labels of its trace. Its lists,
-    per (depth, row, level), are built as levels ask for them and live as
-    long as the census, which the job asking the levels owns."""
+    """The tight sets of one member, given its adjacency in aligned labels,
+    such as those of its trace; n is read from the order. Its lists, per
+    (depth, row, level), are built as levels ask for them and live as long
+    as the census, which the job asking the levels owns."""
 
-    def __init__(self, hl: HlGraph):
-        same = hl.relabel == tuple(range(len(hl.relabel)))
-        self.adj = hl.graph.adj if same else realize(hl.trace).adj
-        self.n = hl.n
+    def __init__(self, adj):
+        self.adj = adj
+        self.n = len(adj).bit_length() - 1
         self.lists: dict[tuple[int, int, int], list[set[int]]] = {}
 
     def count(self, row: int, h: int) -> int:

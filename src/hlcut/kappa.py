@@ -29,7 +29,11 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import UsageError
-from .graph import Graph, check_gate, connected_within, keeps_degree
+from .graph import Graph, connected_within, keeps_degree
+
+# The search decides all 2^order - order - 1 removable sets, and its pruning
+# makes order 32 quick, not order 64.
+SOLVER_GATE = 32
 
 
 class KappaReport(NamedTuple):
@@ -90,10 +94,12 @@ def kappa_sh_exact(g: Graph, h: int) -> KappaReport:
     min degree >= h; existence is decided, never guessed."""
     if h < 0:
         raise UsageError(f"negative level {h}")
-    check_gate(g.order)
+    order = g.order
+    if order > SOLVER_GATE:
+        raise UsageError(f"order {order} exceeds kappa's cap of {SOLVER_GATE} "
+                         "vertices: a search past it can run for minutes")
     adj = g.adj
     full = g.vertex_mask
-    order = g.order
     best, best_size = None, order
 
     def grow(a: int, out: int, reach: int, check: int) -> None:

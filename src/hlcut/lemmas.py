@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .build import HlGraph
+from .build import HlGraph, realize
 from .cuts import lambda_sh_exact
 from .errors import UsageError
 from .induction import Census, table
@@ -45,17 +45,17 @@ def _verdict(hl: HlGraph, lemma: str, row: int, h: int, bound: int,
              census: Census | None) -> LemmaVerdict:
     """The level-h verdict on `lemma` from the table's `row` entry for the
     whole member: it holds once the entry reaches the bound, and its tight
-    sets are counted by `census`, or by a census built for this call when
-    it is None, where the entry meets it. An entry below the bound proves
-    nothing either way, and no member up to the construction cap has one,
-    so it is an internal error, never a verdict."""
+    sets are counted by `census`, or by a census of its trace's labels
+    built for this call when it is None, where the entry meets it. An entry
+    below the bound proves nothing either way, and no member up to the
+    construction cap has one, so it is an internal error, never a verdict."""
     entry = table(hl.n)[hl.n][row][h]
     if entry < bound:
         raise AssertionError(f"{lemma} at h={h}: the induction table gives "
                              f"{entry}, below the bound {bound}")
     tight = 0
     if entry == bound:
-        tight = (Census(hl) if census is None else census).count(row, h)
+        tight = (census or Census(realize(hl.trace).adj)).count(row, h)
     return LemmaVerdict(lemma, hl.label, h, True, None,
                         hl.graph.vertex_mask, tight)
 

@@ -449,8 +449,8 @@ def test_verify_failing_verdict_exits_1_with_the_counterexample(
 
 
 def test_verify_lemma_runs_past_order_32(tmp_path, capsys):
-    # the lemma checks read the induction table, so no subset-scan cap
-    # applies: Q6 has order 64
+    # the lemma checks read the induction table, so kappa's order cap does
+    # not apply: Q6 has order 64
     trace = tmp_path / "q6.trace"
     assert run("generate", "--kind", "hypercube", "--n", 6,
                "--out", tmp_path / "q6.graph", "--trace", trace) == 0

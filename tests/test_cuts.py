@@ -17,7 +17,7 @@ from hlcut import cuts
 from hlcut.build import MAX_DIMENSION
 from hlcut.cli import main
 from hlcut.graph import Graph
-from hlcut.induction import INF, dimension, table
+from hlcut.induction import INF, Census, dimension, table
 
 from conftest import (hl_members, random_simple_graph, reference_min_cut,
                       reference_min_cuts,
@@ -180,7 +180,7 @@ def test_level_zero_matches_maxflow_edge_connectivity():
         report = lambda_sh_exact(hl.graph, 0)
         assert report.value == nx.edge_connectivity(to_nx(hl.graph))
         assert report.value == hl.n
-    # past the order gate of the subset scans, against the same reference
+    # past kappa's order cap, against the same reference
     for hl in (hypercube(6), hypercube(7), random_hl(6, 1), random_hl(7, 1)):
         report = lambda_sh_exact(hl.graph, 0)
         assert report.value == nx.edge_connectivity(to_nx(hl.graph)) == hl.n
@@ -497,6 +497,21 @@ def test_every_level_at_the_construction_cap(build):
     assert lambda_sh_exact(g, n).value is None
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_census_and_the_search_agree_on_the_witness(n):
+    # two engines, one witness: the census lists every minimum cut from the
+    # table's equality cases, the search finds its first leaf, and they
+    # share only the table's value; so the smallest census side without
+    # vertex 0 must be the search's witness side. About 1.6 s for all 176
+    # levels; Q10 and random_hl(10, 1) agree too, in 1.7 s more
+    for hl in [hypercube(n)] + [random_hl(n, s) for s in (1, 2, 3)]:
+        census = Census(hl.graph.adj)
+        for h in range(n):
+            sides = census._tight(n, 0, h)[0]
+            assert min(x for x in sides if not x & 1) == \
+                lambda_sh_exact(hl.graph, h).witness_side
+
+
 # (value, witness side, nodes) at every level of Q5 and random_hl(5, seed),
 # both relabelled by the seed: the search without a table, from floor 1,
 # which stops at no first leaf
@@ -806,13 +821,13 @@ def test_disconnected_input_rejected():
 
 
 def test_gate_caps_the_subset_scans_at_32_vertices():
-    # only kappa's subset scan is gated; the cut search takes any order,
-    # and the lemma checks read the induction table
+    # only kappa's search is gated; the cut search takes any order, and the
+    # lemma checks read the induction table
     ring = Graph(40, [(i, (i + 1) % 40) for i in range(40)])
     assert lambda_sh_exact(ring, 0).value == 2
     assert check_lemma_32(hypercube(6), 0).holds
-    with pytest.raises(UsageError, match="order 64 exceeds the subset-scan "
-                                         "cap of 32 vertices") as err:
+    with pytest.raises(UsageError, match="order 64 exceeds kappa's cap of 32 "
+                                         "vertices") as err:
         kappa_sh_exact(hypercube(6).graph, 0)
     assert "override" not in str(err.value)
 

@@ -325,7 +325,7 @@ def test_census_lists_keep_the_lemma(hl):
     # lemma of the `induction.py` docstring, on which row 0's case B relies
     # untested), and row 0 holds both sides of each cut, each keeping
     # degree h
-    census = Census(hl)
+    census = Census(realize(hl.trace).adj)
     adj = census.adj
     for h in range(hl.n + 1):
         for row in (0, 1):
@@ -368,7 +368,7 @@ def test_the_levels_of_one_member_share_its_lists(monkeypatch):
     handed = _handed_out(monkeypatch)
     hl = hypercube(4)
     for k, check in CHECKS.items():
-        census = Census(hl)
+        census = Census(realize(hl.trace).adj)
         for h in range(hl.n + 1 - SLACK[k]):
             check(hl, h, census)
     assert max(map(len, handed.values())) > 1
@@ -387,21 +387,22 @@ def test_census_drops_the_lists_no_higher_level_reads(build, row):
     hl = build()
     n = hl.n
     levels = range(n + 1 if row < 0 else n)
-    ascending, counts = Census(hl), []
+    ascending, counts = Census(realize(hl.trace).adj), []
     for top in levels:
         counts.append(ascending.count(row, top))
         assert all(d < n and h > top - (n - d) for d, _, h in ascending.lists)
-    descending = Census(hl)
+    descending = Census(realize(hl.trace).adj)
     assert [descending.count(row, h) for h in reversed(levels)] == \
         counts[::-1]
-    assert [Census(hl).count(row, h) for h in levels] == counts
+    assert [Census(realize(hl.trace).adj).count(row, h)
+            for h in levels] == counts
 
 
 def test_an_interrupted_census_keeps_no_partial_list(monkeypatch):
     # Ctrl-C in the middle of a list leaves only whole lists behind, so a
     # census asked again after it still counts right
     hl = hypercube(6)
-    census, real, calls = Census(hl), Census._reach, []
+    census, real, calls = Census(realize(hl.trace).adj), Census._reach, []
 
     def interrupted(self, x, within):
         calls.append(x)
@@ -414,7 +415,8 @@ def test_an_interrupted_census_keeps_no_partial_list(monkeypatch):
         census.count(0, 2)
     assert len(calls) == 200
     monkeypatch.setattr(Census, "_reach", real)
-    assert census.count(0, 2) == Census(hl).count(0, 2) == 480
+    assert census.count(0, 2) \
+        == Census(realize(hl.trace).adj).count(0, 2) == 480
 
 
 # tight counts of the census past the brute force's reach

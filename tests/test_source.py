@@ -7,7 +7,9 @@ has a parameter that every package call sets to the same literal, only
 function but `induction.table` is cached, and no package module holds a
 list, dict or set but the CLI's two tables.
 `__init__.py` only re-exports, and `__future__` imports are
-directives, so both are exempt from the import check."""
+directives, so both are exempt from the import check. The modules are
+layered: `induction` imports no package module, `cuts`, `kappa` and
+`graph` do not import `build`, and only `kappa` defines its cap."""
 
 from __future__ import annotations
 
@@ -241,3 +243,41 @@ def test_only_the_text_reader_and_writer_open_files():
                         getattr(node.func, "attr", None)):
                     opened.append(f"{path.name}:{node.lineno}")
     assert not opened, f"open() outside graph.read_text/write_text: {opened}"
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a module imports, by their bare names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.add(node.module or "hlcut")
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "hlcut":
+            out.add(node.module.partition(".")[2] or "hlcut")
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[2] or "hlcut"
+                       for alias in node.names
+                       if alias.name.split(".")[0] == "hlcut")
+    return out
+
+
+def test_the_modules_keep_their_layers():
+    # the induction is a fact about aligned adjacency, so it knows nothing
+    # of how a member is built; the searches take graphs, not traces; and
+    # kappa's order cap lives with the one search it caps
+    crossings = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = _package_imports(tree)
+        if path.name == "induction.py" and imported:
+            crossings.append(f"induction.py imports {sorted(imported)}")
+        if path.name in ("cuts.py", "kappa.py", "graph.py") \
+                and "build" in imported:
+            crossings.append(f"{path.name} imports build")
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            targets = getattr(top, "targets", [getattr(top, "target", None)])
+            if path.name != "kappa.py" and any(
+                    getattr(t, "id", None) == "SOLVER_GATE" for t in targets):
+                crossings.append(f"{path.name} defines SOLVER_GATE")
+    assert not crossings, f"layering broken: {crossings}"
